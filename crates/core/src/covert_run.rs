@@ -231,7 +231,11 @@ impl CovertScenario {
     /// of [`emsc_covert::packets::packetize`]) and returns the
     /// demodulated bits plus the receiver report. No deframing is
     /// attempted — the caller owns the framing.
-    pub fn run_bits(&self, bits: &[u8], seed: u64) -> (Vec<u8>, RxReport) {
+    ///
+    /// # Errors
+    ///
+    /// The receiver's [`RxError`] when the capture cannot be decoded.
+    pub fn run_bits(&self, bits: &[u8], seed: u64) -> Result<(Vec<u8>, RxReport), RxError> {
         let transmitter = Transmitter::new(self.tx);
         let mut program = Program::new();
         program.sleep(LEAD_SILENCE_S);
@@ -239,9 +243,8 @@ impl CovertScenario {
         program.extend(transmitter.program_for_bits(bits).ops().iter().copied());
         program.sleep(LEAD_SILENCE_S);
         let chain_run = self.chain.run_program(&program, seed);
-        let receiver = Receiver::new(self.rx.clone());
-        let report = receiver.demodulate(&chain_run.capture);
-        (report.bits.clone(), report)
+        let report = Receiver::new(self.rx.clone()).receive(&chain_run.capture)?;
+        Ok((report.bits.clone(), report))
     }
 
     /// Framing used by the transmitter.

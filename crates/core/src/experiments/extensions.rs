@@ -42,7 +42,8 @@ pub fn fingerprint_accuracy(visits_per_site: usize, seed: u64) -> FingerprintRes
     let laptop = Laptop::dell_precision();
     let chain = Chain::new(&laptop, Setup::LineOfSight(2.0));
     let scenario = FingerprintScenario::standard(chain, emsc_fingerprint::site_library());
-    let outcome = scenario.run(visits_per_site, seed);
+    let outcome =
+        scenario.run(visits_per_site, seed).expect("simulated captures are always detectable");
     let labelled: Vec<LabeledVisit> = outcome
         .visits
         .iter()
@@ -88,7 +89,7 @@ pub fn timing_analysis(text: &str, seed: u64) -> TimingResult {
     let laptop = Laptop::dell_precision();
     let chain = Chain::new(&laptop, Setup::NearField);
     let scenario = KeylogScenario::standard(chain);
-    let outcome = scenario.run(text, seed);
+    let outcome = scenario.run(text, seed).expect("simulated captures are always detectable");
     let times: Vec<f64> = outcome.detection.bursts.iter().map(|b| b.start_s).collect();
     let r = search_space_reduction(&Typist::default(), &times, 0.2);
     TimingResult {

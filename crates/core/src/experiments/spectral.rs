@@ -195,7 +195,7 @@ pub fn fig11(seed: u64) -> Fig11 {
     let laptop = Laptop::dell_precision();
     let chain = Chain::new(&laptop, Setup::NearField);
     let scenario = KeylogScenario::standard(chain);
-    let outcome = scenario.run(text, seed);
+    let outcome = scenario.run(text, seed).expect("simulated captures are always detectable");
     let spec = stft(
         &outcome.chain_run.capture.samples,
         outcome.chain_run.capture.sample_rate,

@@ -6,7 +6,7 @@ use emsc_fingerprint::classify::{leave_one_out_accuracy, LabeledVisit};
 use emsc_fingerprint::features::FeatureVector;
 use emsc_fingerprint::workload::SiteProfile;
 use emsc_keylog::burst::BurstModel;
-use emsc_keylog::detect::{Detector, DetectorConfig};
+use emsc_keylog::detect::{DetectError, Detector, DetectorConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -69,7 +69,16 @@ impl FingerprintScenario {
 
     /// Observes one visit to `site` through the chain and extracts its
     /// features.
-    pub fn observe_visit(&self, site: &SiteProfile, seed: u64) -> ObservedVisit {
+    ///
+    /// # Errors
+    ///
+    /// The detector's [`DetectError`] when the capture cannot be
+    /// analysed.
+    pub fn observe_visit(
+        &self,
+        site: &SiteProfile,
+        seed: u64,
+    ) -> Result<ObservedVisit, DetectError> {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut events = site.visit_events(VISIT_MARGIN_S, self.visit_jitter, &mut rng);
         let end = site.load_time_s() + 2.0 * VISIT_MARGIN_S;
@@ -78,13 +87,12 @@ impl FingerprintScenario {
         events.sort_by(|a, b| a.t_s.partial_cmp(&b.t_s).unwrap_or(std::cmp::Ordering::Equal));
 
         let run = self.chain.run_events(end, &events, seed);
-        let detector = Detector::new(self.detector.clone());
-        let report = detector.detect(&run.capture);
-        ObservedVisit {
+        let report = Detector::new(self.detector.clone()).try_detect(&run.capture)?;
+        Ok(ObservedVisit {
             label: site.name.clone(),
             features: FeatureVector::from_bursts(&report.bursts),
             bursts: report.bursts.len(),
-        }
+        })
     }
 
     /// Observes `visits_per_site` visits to every site and evaluates
@@ -92,14 +100,25 @@ impl FingerprintScenario {
     /// fans out across the worker pool; each visit's seed depends only
     /// on its grid position, so the outcome is thread-count
     /// independent.
-    pub fn run(&self, visits_per_site: usize, seed: u64) -> FingerprintOutcome {
+    ///
+    /// # Errors
+    ///
+    /// The first visit's [`DetectError`], in grid order, if any
+    /// visit's capture cannot be analysed.
+    pub fn run(
+        &self,
+        visits_per_site: usize,
+        seed: u64,
+    ) -> Result<FingerprintOutcome, DetectError> {
         let grid: Vec<(usize, u64)> = (0..self.sites.len())
             .flat_map(|si| (0..visits_per_site as u64).map(move |v| (si, v)))
             .collect();
         let visits = emsc_runtime::par_map(&grid, |&(si, v)| {
             let s = seed ^ ((si as u64) << 32) ^ (v << 8);
             self.observe_visit(&self.sites[si], s)
-        });
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         let labelled: Vec<LabeledVisit> = visits
             .iter()
             .filter_map(|v| {
@@ -110,7 +129,7 @@ impl FingerprintScenario {
         // out systematically votes for the other class on small sets.
         let k = (visits_per_site.saturating_sub(1)).clamp(1, 3);
         let accuracy = leave_one_out_accuracy(&labelled, k);
-        FingerprintOutcome { visits, accuracy, chance: 1.0 / self.sites.len().max(1) as f64 }
+        Ok(FingerprintOutcome { visits, accuracy, chance: 1.0 / self.sites.len().max(1) as f64 })
     }
 }
 
@@ -126,7 +145,7 @@ mod tests {
         let laptop = Laptop::dell_precision();
         let chain = Chain::new(&laptop, Setup::NearField);
         let scenario = FingerprintScenario::standard(chain, site_library());
-        let visit = scenario.observe_visit(&scenario.sites[0], 5);
+        let visit = scenario.observe_visit(&scenario.sites[0], 5).expect("capture detects");
         assert_eq!(visit.label, "news-portal");
         let f = visit.features.expect("bursts must be detected");
         // Total active time in the ballpark of the profile.
@@ -147,7 +166,7 @@ mod tests {
         // library runs in the `fingerprinting` example.
         let sites: Vec<_> = site_library().into_iter().take(3).collect();
         let scenario = FingerprintScenario::standard(chain, sites);
-        let outcome = scenario.run(2, 77);
+        let outcome = scenario.run(2, 77).expect("captures detect");
         assert!(
             outcome.accuracy > 1.8 * outcome.chance,
             "accuracy {} vs chance {}",

@@ -2,7 +2,8 @@
 
 use emsc_keylog::burst::BurstModel;
 use emsc_keylog::detect::{
-    detected_times, score_detections, DetectionReport, DetectionScore, Detector, DetectorConfig,
+    detected_times, score_detections, DetectError, DetectionReport, DetectionScore, Detector,
+    DetectorConfig,
 };
 use emsc_keylog::typist::{Keystroke, Typist};
 use emsc_keylog::words::{group_words, score_words, word_lengths, WordScore};
@@ -56,15 +57,19 @@ impl KeylogScenario {
     }
 
     /// Types `text` while the capture runs, then detects and scores.
-    pub fn run(&self, text: &str, seed: u64) -> KeylogOutcome {
+    ///
+    /// # Errors
+    ///
+    /// The detector's [`DetectError`] when the capture cannot be
+    /// analysed (a degenerate detector or chain configuration).
+    pub fn run(&self, text: &str, seed: u64) -> Result<KeylogOutcome, DetectError> {
         let mut rng = StdRng::seed_from_u64(seed);
         let keystrokes = self.typist.type_text(text, IDLE_MARGIN_S, &mut rng);
         let end = keystrokes.last().map_or(IDLE_MARGIN_S, |k| k.release_s) + IDLE_MARGIN_S;
         let events = self.bursts.events_for(&keystrokes, end, &mut rng);
         let chain_run = self.chain.run_events(end, &events, seed);
 
-        let detector = Detector::new(self.detector.clone());
-        let detection = detector.detect(&chain_run.capture);
+        let detection = Detector::new(self.detector.clone()).try_detect(&chain_run.capture)?;
 
         let truth: Vec<f64> = keystrokes.iter().map(|k| k.press_s).collect();
         let chars = score_detections(&detection.bursts, &truth, MATCH_TOLERANCE_S);
@@ -73,7 +78,7 @@ impl KeylogScenario {
         let groups = group_words(&times, WORD_GAP_FACTOR);
         let words = score_words(&word_lengths(&groups), text);
 
-        KeylogOutcome { keystrokes, detection, chars, words, chain_run }
+        Ok(KeylogOutcome { keystrokes, detection, chars, words, chain_run })
     }
 
     /// Like [`KeylogScenario::run`], but processes the capture in
@@ -156,7 +161,7 @@ mod tests {
         let laptop = Laptop::dell_precision(); // the paper's §V laptop
         let chain = Chain::new(&laptop, Setup::NearField);
         let scenario = KeylogScenario::standard(chain);
-        let outcome = scenario.run("can you hear me", 7);
+        let outcome = scenario.run("can you hear me", 7).expect("capture detects");
         assert_eq!(outcome.keystrokes.len(), 15);
         assert!(
             outcome.chars.tpr() > 0.9,
@@ -175,7 +180,7 @@ mod tests {
         let chain = Chain::new(&laptop, Setup::NearField);
         let scenario = KeylogScenario::standard(chain);
         let text = "chunk test words";
-        let whole = scenario.run(text, 19);
+        let whole = scenario.run(text, 19).expect("capture detects");
         let chunked = scenario.run_chunked(text, 19, 1.0);
         // Same ground truth, near-identical detection quality.
         assert_eq!(whole.keystrokes.len(), chunked.keystrokes.len());
@@ -192,7 +197,7 @@ mod tests {
         let laptop = Laptop::dell_precision();
         let chain = Chain::new(&laptop, Setup::NearField);
         let scenario = KeylogScenario::standard(chain);
-        let outcome = scenario.run("hello there friend", 21);
+        let outcome = scenario.run("hello there friend", 21).expect("capture detects");
         // 3 words; predicted count within ±1.
         assert!(
             (outcome.words.predicted as i64 - 3).unsigned_abs() <= 1,

@@ -2,22 +2,22 @@
 //! demod → deframe stages fed IQ in chunks.
 //!
 //! The paper's receiver runs *live*: the SDR produces I/Q continuously
-//! and the attacker demodulates while samples arrive. This module
-//! splits the batch [`Receiver`] pipeline into state machines with a
+//! and the attacker demodulates while samples arrive. This module holds
+//! the receiver's only implementation, as state machines with a
 //! `push(chunk)` interface that carry their state (sliding-DFT window,
 //! decimation phase, smoothing prefix, convolution ring, marker-scan
 //! position) across chunk boundaries:
 //!
-//! - [`StreamingReceiver`] — IQ chunks in, a final [`RxReport`]
-//!   **bit-identical** to [`Receiver::receive`] (or
-//!   [`Receiver::receive_blind`]) over the concatenated stream, for
-//!   every chunking. The per-sample front end (energy, smoothing, edge
-//!   convolution) runs incrementally with O(kernel) state; only the
-//!   decision stages (peak timing, thresholds), which are global by
-//!   construction in §IV-B, run at [`StreamingReceiver::finish`] over
-//!   the accumulated energy signal — and they are the *same code* the
-//!   batch path runs ([`decode_from_energy`]), so equivalence holds by
-//!   construction.
+//! - [`StreamingReceiver`] — IQ chunks in, a final [`RxReport`] out.
+//!   The whole-capture [`Receiver::receive`](crate::rx::Receiver::receive)
+//!   and [`Receiver::receive_blind`](crate::rx::Receiver::receive_blind)
+//!   are this machine fed one chunk, so the report for a chunked
+//!   stream equals the whole-capture report for every chunking. The
+//!   per-sample front end (energy, smoothing, edge convolution) runs
+//!   incrementally with O(kernel) state; only the decision stages
+//!   (peak timing, thresholds), which are global by construction in
+//!   §IV-B, run at [`StreamingReceiver::finish`] over the accumulated
+//!   energy signal.
 //! - [`Deframer`] — demodulated bits in, [`FrameEvent`]s out. Commits
 //!   to the first exact start marker as soon as it appears (the same
 //!   position batch [`try_deframe`] selects) and then emits each frame
@@ -44,14 +44,13 @@ use crate::frame::{
 };
 use crate::marker::{segments_for, MarkerConfig, MarkerStream};
 use crate::rx::{
-    carrier_bins_for, decode_from_energy, edge_kernel_len, try_estimate_bit_period, Receiver,
+    carrier_bins_for, decode_from_energy, edge_kernel_len, try_estimate_bit_period, validate,
     RxConfig, RxError, RxReport, SyncLoss,
 };
 
-/// Width of the energy moving average (shared with the batch path).
+/// Width of the energy moving average.
 const SMOOTH_WIDTH: usize = 3;
-/// Plausible covert bit periods for blind estimation, seconds (the
-/// same bounds [`Receiver::receive_blind`] uses).
+/// Plausible covert bit periods for blind estimation, seconds.
 const BLIND_MIN_PERIOD_S: f64 = 50e-6;
 const BLIND_MAX_PERIOD_S: f64 = 5e-3;
 
@@ -71,12 +70,12 @@ pub struct RxProgress {
 ///
 /// Feed IQ with [`StreamingReceiver::push`]; call
 /// [`StreamingReceiver::finish`] at end of stream for the
-/// [`RxReport`]. Construction performs the same validation as the
-/// batch entry points, in the same precedence order: configuration
-/// errors first, then the sample rate, then carrier presence.
+/// [`RxReport`]. Construction validates in a fixed precedence order:
+/// configuration errors first, then the sample rate, then carrier
+/// presence.
 #[derive(Debug, Clone)]
 pub struct StreamingReceiver {
-    receiver: Receiver,
+    config: RxConfig,
     dt: f64,
     blind: bool,
     front: EnergyStream,
@@ -93,21 +92,21 @@ pub struct StreamingReceiver {
 
 impl StreamingReceiver {
     /// Creates an *informed* streaming receiver (bit period from
-    /// configuration): [`StreamingReceiver::finish`] is bit-identical
-    /// to [`Receiver::receive`] over the same concatenated samples.
+    /// configuration), the machine behind
+    /// [`Receiver::receive`](crate::rx::Receiver::receive).
     ///
     /// # Errors
     ///
     /// [`RxError::InvalidConfig`], [`RxError::Capture`]
-    /// (`InvalidSampleRate`) or [`RxError::NoCarrier`] — the same
-    /// checks, in the same order, as the batch path.
+    /// (`InvalidSampleRate`) or [`RxError::NoCarrier`], checked in that
+    /// order.
     pub fn new(config: RxConfig, sample_rate: f64, center_freq: f64) -> Result<Self, RxError> {
         Self::build(config, sample_rate, center_freq, false)
     }
 
     /// Creates a *blind* streaming receiver (bit period estimated from
-    /// the stream at finish): [`StreamingReceiver::finish`] is
-    /// bit-identical to [`Receiver::receive_blind`].
+    /// the stream at finish), the machine behind
+    /// [`Receiver::receive_blind`](crate::rx::Receiver::receive_blind).
     ///
     /// # Errors
     ///
@@ -126,11 +125,11 @@ impl StreamingReceiver {
         center_freq: f64,
         blind: bool,
     ) -> Result<Self, RxError> {
-        let receiver = Receiver::try_new(config)?;
+        validate(&config)?;
         if !(sample_rate > 0.0 && sample_rate.is_finite()) {
             return Err(RxError::Capture(CaptureError::InvalidSampleRate));
         }
-        let cfg = receiver.config();
+        let cfg = &config;
         let bins = carrier_bins_for(cfg, sample_rate, center_freq);
         if bins.is_empty() {
             return Err(RxError::NoCarrier);
@@ -143,7 +142,7 @@ impl StreamingReceiver {
             Some(ConvolveSameStream::new(&edge_kernel(edge_kernel_len(cfg, dt))))
         };
         Ok(StreamingReceiver {
-            receiver,
+            config,
             dt,
             blind,
             front,
@@ -159,7 +158,7 @@ impl StreamingReceiver {
 
     /// The configuration in use.
     pub fn config(&self) -> &RxConfig {
-        self.receiver.config()
+        &self.config
     }
 
     /// Seconds per energy sample.
@@ -204,15 +203,15 @@ impl StreamingReceiver {
         }
     }
 
-    /// Ends the stream and runs the decision stages, producing exactly
-    /// the report the batch path would for the concatenated samples.
+    /// Ends the stream and runs the decision stages over the
+    /// accumulated energy signal.
     ///
     /// # Errors
     ///
     /// [`RxError::Capture`] with the end-of-stream classification
-    /// (empty, too short for one window, majority-non-finite) — the
-    /// same policy as the batch path — or [`RxError::InvalidConfig`]
-    /// if a blind-estimated period is degenerate.
+    /// (empty, too short for one window, majority-non-finite), or
+    /// [`RxError::InvalidConfig`] if a blind-estimated period is
+    /// degenerate.
     pub fn finish(&mut self) -> Result<RxReport, RxError> {
         assert!(!self.finished, "finish() may only be called once");
         self.finished = true;
@@ -220,40 +219,28 @@ impl StreamingReceiver {
         let tail_from = self.energy.len();
         self.smoother.finish_into(&mut self.energy);
         let sanitized = self.front.sanitized();
+        let energy = std::mem::take(&mut self.energy);
         if self.blind {
-            // Mirror `receive_blind`: estimate the period over the
-            // whole smoothed energy signal, fall back to the prior,
-            // re-validate the tuned configuration, then decode. The
-            // batch path recomputes the energy signal with the tuned
-            // receiver; only the bit period changed, so the energy it
-            // recomputes is the one already accumulated here.
-            let estimated = match try_estimate_bit_period(
-                &self.energy,
-                self.dt,
-                BLIND_MIN_PERIOD_S,
-                BLIND_MAX_PERIOD_S,
-            ) {
-                Ok(period) => period,
-                Err(loss) => {
-                    self.sync_loss = Some(loss);
-                    self.config().expected_bit_period_s
-                }
-            };
-            let tuned = Receiver::try_new(RxConfig {
-                expected_bit_period_s: estimated,
-                ..self.config().clone()
-            })?;
-            let cfg = tuned.config();
-            let energy = std::mem::take(&mut self.energy);
-            let edge = convolve_same(&energy, &edge_kernel(edge_kernel_len(cfg, self.dt)));
-            Ok(decode_from_energy(cfg, energy, edge, self.dt, sanitized))
+            // Estimate the period over the whole smoothed energy
+            // signal, fall back to the prior, re-validate the tuned
+            // configuration, then decode. Only the bit period changed,
+            // so the accumulated energy signal is reused as is.
+            let estimated =
+                try_estimate_bit_period(&energy, self.dt, BLIND_MIN_PERIOD_S, BLIND_MAX_PERIOD_S)
+                    .unwrap_or_else(|loss| {
+                        self.sync_loss = Some(loss);
+                        self.config.expected_bit_period_s
+                    });
+            let tuned = RxConfig { expected_bit_period_s: estimated, ..self.config.clone() };
+            validate(&tuned)?;
+            let edge = convolve_same(&energy, &edge_kernel(edge_kernel_len(&tuned, self.dt)));
+            Ok(decode_from_energy(&tuned, energy, edge, self.dt, sanitized))
         } else {
             let conv = self.conv.as_mut().expect("informed mode has a convolver");
-            conv.push_into(&self.energy[tail_from..], &mut self.edge);
+            conv.push_into(&energy[tail_from..], &mut self.edge);
             conv.finish_into(&mut self.edge);
-            let energy = std::mem::take(&mut self.energy);
             let edge = std::mem::take(&mut self.edge);
-            Ok(decode_from_energy(self.receiver.config(), energy, edge, self.dt, sanitized))
+            Ok(decode_from_energy(&self.config, energy, edge, self.dt, sanitized))
         }
     }
 }
@@ -582,6 +569,7 @@ impl Deframer {
 mod tests {
     use super::*;
     use crate::frame::frame_payload;
+    use crate::rx::Receiver;
     use emsc_sdr::Capture;
 
     fn chunkings(len: usize) -> Vec<usize> {

@@ -30,7 +30,7 @@ fn transmit_and_receive(payload: &[u8], seed: u64) -> (Vec<u8>, emsc_covert::rx:
 
     let bit_period = tx.config().expected_bit_period_on(&machine);
     let rx = Receiver::new(RxConfig::new(F_SW, bit_period));
-    let report = rx.demodulate(&capture);
+    let report = rx.receive(&capture).expect("the capture must decode");
     (tx.on_air_bits(payload), report)
 }
 

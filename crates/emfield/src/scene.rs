@@ -89,7 +89,7 @@ impl Scene {
     /// This is the fused TX chain's per-block composition: synthesis,
     /// path gain, interferer combs and AWGN are all applied to the
     /// block while it is cache-resident, and every stage is
-    /// window-invariant ([`render_train_window`], positional
+    /// window-invariant ([`render_train_window`](crate::synth::render_train_window), positional
     /// interferer phases, blockwise sub-seeded noise) so the
     /// decomposition into blocks is unobservable in the output.
     pub fn render_window_into(

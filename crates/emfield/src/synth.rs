@@ -59,12 +59,12 @@ const CHUNK_SAMPLES: usize = 1 << 16;
 /// `[start, start + len)` are bit-identical to the same index range of
 /// a whole-buffer render, so callers may decompose a capture into
 /// blocks of any size — the fused TX chain renders L1-sized blocks,
-/// the whole-buffer path renders [`CHUNK_SAMPLES`]-sized chunks across
+/// the whole-buffer path renders `CHUNK_SAMPLES`-sized chunks across
 /// the worker pool, and both agree exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SynthMode {
     /// Table-driven kernel with a globally-anchored incremental
-    /// carrier phasor (exact `cis` at every [`PHASOR_REFRESH`]-th
+    /// carrier phasor (exact `cis` at every `PHASOR_REFRESH`-th
     /// pulse *of the train*, one complex multiply in between).
     /// Matches [`SynthMode::Exact`] to better than −90 dB.
     #[default]
@@ -240,7 +240,7 @@ fn pulses_are_sorted(train: &SwitchingTrain) -> bool {
 /// nothing in either mode depends on the window placement:
 ///
 /// - the carrier phasor anchors at global pulse indices (an exact
-///   `cis` at every [`PHASOR_REFRESH`]-th pulse *of the train*), and a
+///   `cis` at every `PHASOR_REFRESH`-th pulse *of the train*), and a
 ///   window warms it up from the nearest anchor at or before its first
 ///   pulse — the Δt rotator is a pure function of the pulse spacing,
 ///   so the warm-up reproduces the whole-buffer product exactly;

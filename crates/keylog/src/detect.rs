@@ -9,9 +9,9 @@
 
 use emsc_sdr::error::CaptureError;
 use emsc_sdr::stats::{quantile, Histogram};
-use emsc_sdr::stft::{stft, StftConfig};
-use emsc_sdr::window::Window;
 use emsc_sdr::Capture;
+
+use crate::stream::StreamingDetector;
 
 /// Why keystroke detection could not run over a capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,40 +207,24 @@ impl Detector {
     /// first detection stage, exposed separately so long recordings
     /// can be processed in chunks (energies concatenate; thresholding
     /// and grouping then run once, globally).
-    pub fn window_energies(&self, capture: &Capture) -> Vec<f64> {
-        let cfg = &self.config;
-        let spec = stft(
-            &capture.samples,
-            capture.sample_rate,
-            &StftConfig::non_overlapping(cfg.window_samples, Window::Hann),
-        );
-        let freqs: Vec<f64> = (1..=cfg.harmonics)
-            .map(|h| cfg.switching_freq_hz * h as f64 - capture.center_freq)
-            .filter(|f| f.abs() < capture.sample_rate / 2.0)
-            .collect();
-        spec.band_energy(&freqs)
-    }
-
-    /// Runs detection over a capture.
     ///
-    /// Panic-free wrapper over [`Detector::try_detect`]: an unusable
-    /// capture degrades to an empty report (no bursts) instead of a
-    /// crash.
-    pub fn detect(&self, capture: &Capture) -> DetectionReport {
-        self.try_detect(capture).unwrap_or_else(|_| DetectionReport {
-            window_energy: Vec::new(),
-            window_s: 0.0,
-            threshold: 0.0,
-            bursts: Vec::new(),
-            rejected: Vec::new(),
-        })
+    /// Energies are raw: a window holding a non-finite sample has a
+    /// non-finite energy. A capture with a non-positive or non-finite
+    /// sample rate has no frequency axis, so it yields no energies.
+    pub fn window_energies(&self, capture: &Capture) -> Vec<f64> {
+        match self.stream_for(capture) {
+            Ok(mut stream) => {
+                stream.push(&capture.samples);
+                stream.into_energies()
+            }
+            Err(_) => Vec::new(),
+        }
     }
 
-    /// Fallible detection: like [`Detector::detect`] but reporting an
-    /// unusable capture as a typed [`DetectError`]. Non-finite window
-    /// energies (from isolated corrupt samples) are zeroed before
-    /// thresholding; a capture whose samples are *mostly* non-finite
-    /// is rejected.
+    /// Runs detection over a capture: the capture is fed to a
+    /// [`StreamingDetector`] as one chunk. Non-finite window energies
+    /// (from isolated corrupt samples) are zeroed before thresholding;
+    /// a capture whose samples are *mostly* non-finite is rejected.
     ///
     /// # Errors
     ///
@@ -248,36 +232,13 @@ impl Detector {
     /// than a single STFT window, a non-positive/non-finite sample
     /// rate, or a majority-non-finite capture.
     pub fn try_detect(&self, capture: &Capture) -> Result<DetectionReport, DetectError> {
-        if !(capture.sample_rate > 0.0 && capture.sample_rate.is_finite()) {
-            return Err(DetectError::Capture(CaptureError::InvalidSampleRate));
-        }
-        if capture.samples.is_empty() {
-            return Err(DetectError::Capture(CaptureError::Empty));
-        }
-        if capture.samples.len() < self.config.window_samples {
-            return Err(DetectError::Capture(CaptureError::TooShort {
-                needed: self.config.window_samples,
-                got: capture.samples.len(),
-            }));
-        }
-        let non_finite =
-            capture.samples.iter().filter(|z| !(z.re.is_finite() && z.im.is_finite())).count();
-        if non_finite * 2 > capture.samples.len() {
-            return Err(DetectError::Capture(CaptureError::NonFinite {
-                count: non_finite,
-                total: capture.samples.len(),
-            }));
-        }
-        let mut window_energy = self.window_energies(capture);
-        // Isolated corrupt samples poison only their own window's
-        // energy; zero those windows so they read as idle.
-        for e in &mut window_energy {
-            if !e.is_finite() {
-                *e = 0.0;
-            }
-        }
-        let window_s = self.config.window_samples as f64 / capture.sample_rate;
-        Ok(self.detect_from_energies(window_energy, window_s))
+        let mut stream = self.stream_for(capture)?;
+        stream.push(&capture.samples);
+        stream.finish()
+    }
+
+    fn stream_for(&self, capture: &Capture) -> Result<StreamingDetector, DetectError> {
+        StreamingDetector::new(self.config.clone(), capture.sample_rate, capture.center_freq)
     }
 
     /// Thresholds and groups precomputed window energies (see
@@ -417,6 +378,23 @@ pub fn detected_times(report: &DetectionReport) -> Vec<f64> {
 mod tests {
     use super::*;
     use emsc_sdr::iq::Complex;
+    use emsc_sdr::stft::{stft, StftConfig};
+    use emsc_sdr::window::Window;
+
+    /// Test oracle, independent of the streaming kernel: a full
+    /// non-overlapping Hann spectrogram, then the band-bin sum.
+    fn oracle_window_energies(cfg: &DetectorConfig, capture: &Capture) -> Vec<f64> {
+        let spec = stft(
+            &capture.samples,
+            capture.sample_rate,
+            &StftConfig::non_overlapping(cfg.window_samples, Window::Hann),
+        );
+        let freqs: Vec<f64> = (1..=cfg.harmonics)
+            .map(|h| cfg.switching_freq_hz * h as f64 - capture.center_freq)
+            .filter(|f| f.abs() < capture.sample_rate / 2.0)
+            .collect();
+        spec.band_energy(&freqs)
+    }
 
     /// Synthetic capture: tone bursts at given times over a noise floor.
     fn capture_with_bursts(bursts: &[(f64, f64)], duration_s: f64) -> Capture {
@@ -450,7 +428,7 @@ mod tests {
     fn detects_well_separated_keystrokes() {
         let truth = [(0.2, 0.05), (0.5, 0.06), (0.9, 0.05)];
         let cap = capture_with_bursts(&truth, 1.2);
-        let report = detector().detect(&cap);
+        let report = detector().try_detect(&cap).expect("valid capture");
         assert_eq!(report.bursts.len(), 3, "bursts: {:?}", report.bursts);
         let score = score_detections(
             &report.bursts,
@@ -466,7 +444,7 @@ mod tests {
     fn short_bursts_are_filtered_out() {
         // A 10 ms housekeeping blip must be rejected by the 30 ms rule.
         let cap = capture_with_bursts(&[(0.2, 0.05), (0.5, 0.010)], 0.8);
-        let report = detector().detect(&cap);
+        let report = detector().try_detect(&cap).expect("valid capture");
         assert_eq!(report.bursts.len(), 1);
         assert_eq!(report.rejected.len(), 1);
         assert!(report.rejected[0].duration_s < 0.03);
@@ -475,7 +453,7 @@ mod tests {
     #[test]
     fn burst_duration_is_estimated() {
         let cap = capture_with_bursts(&[(0.3, 0.08)], 0.7);
-        let report = detector().detect(&cap);
+        let report = detector().try_detect(&cap).expect("valid capture");
         assert_eq!(report.bursts.len(), 1);
         let b = report.bursts[0];
         assert!((b.start_s - 0.3).abs() < 0.01, "start {}", b.start_s);
@@ -486,7 +464,7 @@ mod tests {
     fn gap_bridging_merges_split_bursts() {
         // Two half-bursts 5 ms apart are one keystroke, not two.
         let cap = capture_with_bursts(&[(0.3, 0.025), (0.33, 0.03)], 0.7);
-        let report = detector().detect(&cap);
+        let report = detector().try_detect(&cap).expect("valid capture");
         assert_eq!(report.bursts.len(), 1, "bursts {:?}", report.bursts);
     }
 
@@ -508,7 +486,7 @@ mod tests {
     #[test]
     fn empty_capture_detects_nothing() {
         let cap = capture_with_bursts(&[], 0.3);
-        let report = detector().detect(&cap);
+        let report = detector().try_detect(&cap).expect("valid capture");
         assert!(report.bursts.is_empty());
     }
 
@@ -555,10 +533,6 @@ mod tests {
             d.try_detect(&all_nan),
             Err(DetectError::Capture(CaptureError::NonFinite { .. }))
         ));
-        // The panic-free wrapper degrades each of those to no bursts.
-        for cap in [&empty, &short, &bad_rate, &all_nan] {
-            assert!(d.detect(cap).bursts.is_empty());
-        }
     }
 
     #[test]
@@ -572,5 +546,31 @@ mod tests {
         let report = detector().try_detect(&cap).expect("minority NaN is recoverable");
         assert!(report.window_energy.iter().all(|e| e.is_finite()));
         assert_eq!(report.bursts.len(), 1, "bursts: {:?}", report.bursts);
+    }
+
+    #[test]
+    fn window_energies_match_the_stft_oracle_bitwise() {
+        let d = detector();
+        let long = capture_with_bursts(&[(0.05, 0.06), (0.15, 0.05)], 0.25);
+        for len in [0, 100, 8192, 3 * 8192 + 77, 600_000] {
+            let cap = Capture { samples: long.samples[..len].to_vec(), ..long.clone() };
+            let got: Vec<u64> = d.window_energies(&cap).iter().map(|e| e.to_bits()).collect();
+            let want: Vec<u64> =
+                oracle_window_energies(d.config(), &cap).iter().map(|e| e.to_bits()).collect();
+            assert_eq!(got, want, "length {len}");
+        }
+    }
+
+    #[test]
+    fn window_energies_are_empty_for_invalid_sample_rates() {
+        let d = detector();
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cap = Capture {
+                samples: vec![Complex::new(0.1, 0.0); 20_000],
+                sample_rate: rate,
+                center_freq: 1.455e6,
+            };
+            assert!(d.window_energies(&cap).is_empty(), "sample rate {rate}");
+        }
     }
 }

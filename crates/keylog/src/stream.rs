@@ -1,21 +1,19 @@
 //! Incremental keystroke detection from chunked I/Q.
 //!
-//! [`StreamingDetector`] is the resumable counterpart of
-//! [`Detector::try_detect`](crate::detect::Detector::try_detect):
-//! raw samples are pushed in arbitrarily-sized chunks, each completed
-//! STFT window is transformed as soon as its last sample arrives, and
+//! [`StreamingDetector`] is the detector's only implementation: raw
+//! samples are pushed in arbitrarily-sized chunks, each completed STFT
+//! window is transformed as soon as its last sample arrives, and
 //! [`StreamingDetector::finish`] runs the global threshold/grouping
-//! pass over the accumulated window energies.
+//! pass over the accumulated window energies. The whole-capture
+//! [`Detector::try_detect`](crate::detect::Detector::try_detect) and
+//! [`Detector::window_energies`](crate::detect::Detector::window_energies)
+//! are this machine fed one chunk.
 //!
-//! The streaming path is bit-identical to the batch path by
-//! construction: windows are non-overlapping, so buffering exactly
-//! `window_samples` raw samples and applying the same Hann
-//! coefficients, the same FFT plan and the same bin-sum order performs
-//! the same floating-point operations the batch
-//! [`window_energies`](crate::detect::Detector::window_energies) does,
-//! regardless of how the capture was chunked. The trailing partial
-//! window is dropped in both paths (it still counts towards the
-//! non-finite-majority check, as in batch).
+//! Windows are non-overlapping, so buffering exactly `window_samples`
+//! raw samples and applying one per-window kernel (Hann window, FFT,
+//! sum of the band bins' magnitudes) gives the same energies however
+//! the capture was chunked. The trailing partial window is dropped (it
+//! still counts towards the non-finite-majority check).
 
 use emsc_sdr::error::CaptureError;
 use emsc_sdr::fft::{frequency_bin, FftPlan};
@@ -64,8 +62,7 @@ impl StreamingDetector {
     /// [`DetectError::InvalidConfig`] for a degenerate configuration
     /// (as [`Detector::try_new`]), then
     /// [`DetectError::Capture`]([`CaptureError::InvalidSampleRate`])
-    /// for a non-positive or non-finite sample rate — the same
-    /// precedence the batch path applies.
+    /// for a non-positive or non-finite sample rate.
     pub fn new(
         config: DetectorConfig,
         sample_rate: f64,
@@ -77,8 +74,8 @@ impl StreamingDetector {
         }
         let cfg = detector.config();
         let n = cfg.window_samples;
-        // Same band selection as `Detector::window_energies`: harmonic
-        // order, out-of-capture harmonics dropped, nearest-bin mapping.
+        // Band selection: harmonic order, out-of-capture harmonics
+        // dropped, nearest-bin mapping.
         let band_bins: Vec<usize> = (1..=cfg.harmonics)
             .map(|h| cfg.switching_freq_hz * h as f64 - center_freq)
             .filter(|f| f.abs() < sample_rate / 2.0)
@@ -164,7 +161,8 @@ impl StreamingDetector {
         }
     }
 
-    /// Same per-frame pipeline as `stft`: window, transform, then sum
+    /// The per-window kernel, the same operations as a
+    /// non-overlapping Hann `stft` frame: window, transform, then sum
     /// the selected bins' magnitudes in band order.
     fn transform_frame(&mut self, frame: &[Complex]) {
         for (slot, (&s, &w)) in self.buf.iter_mut().zip(frame.iter().zip(self.win.iter())) {
@@ -175,15 +173,19 @@ impl StreamingDetector {
         self.energies.push(energy);
     }
 
+    /// The raw energies of the windows completed so far, without the
+    /// end-of-stream classification [`StreamingDetector::finish`] runs.
+    pub(crate) fn into_energies(self) -> Vec<f64> {
+        self.energies
+    }
+
     /// Classifies the stream and runs the global threshold/grouping
-    /// pass, exactly as the batch [`Detector::try_detect`] would over
-    /// the concatenation of every pushed chunk.
+    /// pass over the accumulated window energies.
     ///
     /// # Errors
     ///
-    /// [`DetectError::Capture`] with the batch precedence: empty
-    /// stream, stream shorter than one window, majority-non-finite
-    /// stream.
+    /// [`DetectError::Capture`], checked in this order: empty stream,
+    /// stream shorter than one window, majority-non-finite stream.
     ///
     /// # Panics
     ///

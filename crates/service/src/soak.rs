@@ -1,7 +1,8 @@
 //! E5: soak run of the supervised capture daemon under an escalating
 //! fault schedule.
 //!
-//! Ten sensors stream into one supervised [`SessionRegistry`]-backed
+//! Ten sensors stream into one supervised
+//! [`SessionRegistry`](emsc_core::session::SessionRegistry)-backed
 //! daemon (see [`crate::supervisor`]):
 //!
 //! | # | sensor | faults |

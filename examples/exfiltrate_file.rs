@@ -29,7 +29,7 @@ fn main() {
     let scenario = CovertScenario::for_laptop(&laptop, chain);
 
     let bits = packetize(file, config);
-    let (rx_bits, report) = scenario.run_bits(&bits, 0xF12B);
+    let (rx_bits, report) = scenario.run_bits(&bits, 0xF12B).expect("the capture must decode");
     let out = depacketize(&rx_bits, config, Some(n_packets));
 
     println!();

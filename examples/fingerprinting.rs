@@ -35,7 +35,7 @@ fn main() {
     let scenario = FingerprintScenario::standard(chain, sites);
     let visits_per_site = 4;
     println!("\nobserving {} visits per site...", visits_per_site);
-    let outcome = scenario.run(visits_per_site, 0xF16E);
+    let outcome = scenario.run(visits_per_site, 0xF16E).expect("the captures must be detectable");
 
     println!(
         "leave-one-out accuracy: {:.0} % (chance {:.0} %)",

@@ -24,7 +24,7 @@ fn main() {
 
     let chain = Chain::new(&laptop, Setup::LineOfSight(2.0));
     let scenario = KeylogScenario::standard(chain);
-    let outcome = scenario.run(sentence, 0xBEE5);
+    let outcome = scenario.run(sentence, 0xBEE5).expect("the capture must be detectable");
 
     println!();
     println!("ground truth: {} keystrokes", outcome.keystrokes.len());

@@ -37,7 +37,7 @@ fn main() {
     // deliberately wrong bit-period guess and recovers the real one
     // from the signal.
     let rx = Receiver::new(RxConfig::new(f_sw, 1e-3 /* wrong guess */));
-    let report = rx.demodulate_blind(&capture);
+    let report = rx.receive_blind(&capture).expect("the capture must decode");
     println!(
         "②③ recovered bit clock: {:.0} µs ({:.0} bps), {} bits demodulated",
         report.bit_period_s * 1e6,

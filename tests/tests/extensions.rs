@@ -24,7 +24,7 @@ fn packetised_transfer_survives_the_air() {
     let n = file.len().div_ceil(config.packet_bytes);
 
     let bits = packetize(file, config);
-    let (rx_bits, _) = scenario.run_bits(&bits, 0xFA57);
+    let (rx_bits, _) = scenario.run_bits(&bits, 0xFA57).expect("the capture must decode");
     let out = depacketize(&rx_bits, config, Some(n));
     // Indels can cost a packet, never the rest.
     assert!(out.packets.len() >= n - 1, "{} of {} packets", out.packets.len(), n);
@@ -55,7 +55,7 @@ fn captures_round_trip_through_the_rtl_sdr_format() {
     .unwrap();
 
     let receiver = Receiver::new(scenario.rx.clone());
-    let report = receiver.demodulate(&restored);
+    let report = receiver.receive(&restored).expect("the restored capture must decode");
     let from_disk = emsc_covert::align_semiglobal(&outcome.tx_bits, &report.bits);
     assert!(from_disk.ber() < 0.02, "BER after u8 round trip: {}", from_disk.ber());
 }
@@ -89,7 +89,7 @@ fn fingerprinting_separates_extreme_sites() {
     let laptop = Laptop::dell_precision();
     let chain = Chain::new(&laptop, Setup::NearField);
     let scenario = FingerprintScenario::standard(chain, vec![news, search]);
-    let outcome = scenario.run(2, 9);
+    let outcome = scenario.run(2, 9).expect("the captures must be detectable");
     assert!(
         outcome.accuracy >= 0.75,
         "two extreme sites should separate: accuracy {}",
@@ -149,7 +149,7 @@ fn two_transmitters_share_the_ether_by_frequency_division() {
         let machine = laptop.machine();
         let expected = tx.expected_bit_period_on(&machine);
         let rx = RxConfig::new(laptop.switching_freq_hz, expected);
-        let report = Receiver::new(rx).demodulate(&capture);
+        let report = Receiver::new(rx).receive(&capture).expect("the shared capture must decode");
         let alignment = emsc_covert::align_semiglobal(&bits, &report.bits);
         assert!(
             alignment.ber() < 0.03,

@@ -9,7 +9,7 @@ fn keystrokes_are_detected_through_the_wall() {
     let laptop = Laptop::dell_precision();
     let chain = Chain::new(&laptop, Setup::ThroughWall);
     let scenario = KeylogScenario::standard(chain);
-    let outcome = scenario.run("open sesame", 31);
+    let outcome = scenario.run("open sesame", 31).expect("capture detects");
     assert!(
         outcome.chars.tpr() > 0.85,
         "through-wall TPR {} (missed {})",
@@ -22,8 +22,12 @@ fn keystrokes_are_detected_through_the_wall() {
 fn detection_is_better_near_field_than_through_wall() {
     let laptop = Laptop::dell_precision();
     let text = "comparison of distances here";
-    let near = KeylogScenario::standard(Chain::new(&laptop, Setup::NearField)).run(text, 13);
-    let wall = KeylogScenario::standard(Chain::new(&laptop, Setup::ThroughWall)).run(text, 13);
+    let near = KeylogScenario::standard(Chain::new(&laptop, Setup::NearField))
+        .run(text, 13)
+        .expect("capture detects");
+    let wall = KeylogScenario::standard(Chain::new(&laptop, Setup::ThroughWall))
+        .run(text, 13)
+        .expect("capture detects");
     assert!(
         near.chars.tpr() >= wall.chars.tpr() - 1e-9,
         "near {} vs wall {}",
@@ -38,7 +42,7 @@ fn word_structure_is_recoverable() {
     let chain = Chain::new(&laptop, Setup::NearField);
     let scenario = KeylogScenario::standard(chain);
     let text = "four small words here";
-    let outcome = scenario.run(text, 55);
+    let outcome = scenario.run(text, 55).expect("capture detects");
     // Word count within ±1 and most lengths correct.
     let diff = (outcome.words.predicted as i64 - outcome.words.actual as i64).unsigned_abs();
     assert!(diff <= 1, "predicted {} of {} words", outcome.words.predicted, outcome.words.actual);
@@ -52,7 +56,7 @@ fn burst_durations_reflect_keystroke_handling() {
     let laptop = Laptop::dell_precision();
     let chain = Chain::new(&laptop, Setup::NearField);
     let scenario = KeylogScenario::standard(chain);
-    let outcome = scenario.run("abcdef", 3);
+    let outcome = scenario.run("abcdef", 3).expect("capture detects");
     for b in &outcome.detection.bursts {
         assert!((0.03..0.25).contains(&b.duration_s), "burst duration {}", b.duration_s);
     }
@@ -71,7 +75,7 @@ fn detection_is_robust_across_typist_skill_levels() {
         let chain = Chain::new(&laptop, Setup::NearField);
         let mut scenario = KeylogScenario::standard(chain);
         scenario.typist = Typist::new(cfg);
-        let outcome = scenario.run(text, 23);
+        let outcome = scenario.run(text, 23).expect("capture detects");
         assert!(
             outcome.chars.tpr() > 0.85,
             "{label}: TPR {} (missed {})",

@@ -1,13 +1,14 @@
-//! Streaming/batch equivalence over the torture corpus.
+//! Chunked vs whole-capture equivalence over the torture corpus.
 //!
-//! The streaming receive chain's contract is *bit-identity*: for any
-//! capture the batch pipeline accepts (or rejects with a typed error),
-//! feeding the same samples through the streaming state machines in
-//! chunks of ANY size must produce the exact same report — same bits,
-//! same floating-point intermediates, same typed error. This suite
-//! pins that contract over every torture-corpus capture at chunk
-//! sizes 1, 7, 64 KiB and whole-capture, for the informed receiver,
-//! the blind receiver and the keystroke detector.
+//! The whole-capture entry points (`Receiver::receive`,
+//! `Receiver::receive_blind`, `Detector::try_detect`) are the streaming
+//! state machines fed one chunk. The contract is *bit-identity*: for
+//! any capture they accept (or reject with a typed error), feeding the
+//! same samples in chunks of ANY size must produce the exact same
+//! report — same bits, same floating-point intermediates, same typed
+//! error. This suite pins that contract over every torture-corpus
+//! capture at chunk sizes 1, 7, 64 KiB and whole-capture, for the
+//! informed receiver, the blind receiver and the keystroke detector.
 
 use emsc_core::chain::{Chain, Setup};
 use emsc_core::fused::ChainStream;
