@@ -89,9 +89,10 @@ impl Scene {
     /// This is the fused TX chain's per-block composition: synthesis,
     /// path gain, interferer combs and AWGN are all applied to the
     /// block while it is cache-resident, and every stage is
-    /// window-invariant ([`render_train_window`](crate::synth::render_train_window), positional
-    /// interferer phases, blockwise sub-seeded noise) so the
-    /// decomposition into blocks is unobservable in the output.
+    /// window-invariant ([`render_train_window`](crate::synth::render_train_window), interferer
+    /// phasors anchored on absolute samples, blockwise sub-seeded
+    /// noise) so the decomposition into blocks is unobservable in the
+    /// output.
     pub fn render_window_into(
         &self,
         train: &SwitchingTrain,
@@ -141,9 +142,9 @@ impl WindowRenderer<'_> {
     /// waveform into a caller-zeroed slice: synthesis, path gain,
     /// interferer combs and AWGN, all applied while the block is
     /// cache-resident. Every stage is window-invariant (globally
-    /// anchored phasors, positional interferer phases, blockwise
-    /// sub-seeded noise), so the decomposition into blocks is
-    /// unobservable in the output.
+    /// anchored carrier and interferer phasors, blockwise sub-seeded
+    /// noise), so the decomposition into blocks is unobservable in the
+    /// output.
     pub fn render_into(&self, start: usize, out: &mut [Complex]) {
         let scene = self.scene;
         render_train_window_hint(self.train, scene.synth, self.sorted, start, out);

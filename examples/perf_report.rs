@@ -4,7 +4,7 @@
 //! cargo run --release -p emsc-examples --example perf_report
 //! ```
 //!
-//! Times three layers and writes the results to `BENCH_runtime.json`
+//! Times the layers below and writes the results to `BENCH_runtime.json`
 //! in the current directory:
 //!
 //! 1. **Synthesis** — `render_train` LUT/incremental-phasor fast path
@@ -27,6 +27,11 @@
 //!    analog materialised, then a second digitise sweep) vs the fused
 //!    blockwise producer: pass times, blocks/s and peak resident
 //!    samples, with the bit-identity of the two captures checked.
+//! 7. **Interference** — the through-wall printer + refrigerator
+//!    combs rendered in fused-size windows by the anchored-phasor
+//!    kernel vs a reference loop with one `from_polar` per harmonic
+//!    and sample: ns/sample for both, speedup and the kernel's max
+//!    error relative to the weaker comb's fundamental.
 //!
 //! All timed paths produce bit-identical outputs (see the determinism
 //! tests in `emsc-runtime` and `emsc-emfield`), so the speedups come
@@ -43,6 +48,7 @@ use emsc_core::fused::{ChainStream, FUSED_BLOCK};
 use emsc_core::laptop::Laptop;
 use emsc_covert::rx::{Receiver, RxConfig};
 use emsc_covert::stream::StreamingReceiver;
+use emsc_emfield::interference::Interferer;
 use emsc_emfield::synth::{render_train, render_train_exact, SynthConfig, SynthMode};
 use emsc_pmu::workload::Program;
 use emsc_runtime::{current_threads, with_threads};
@@ -51,6 +57,8 @@ use emsc_sdr::frontend::DigitizeMode;
 use emsc_sdr::iq::Complex;
 use emsc_sdr::Capture;
 use emsc_vrm::train::{Pulse, SwitchingTrain};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Allocation-counting wrapper around the system allocator, so the
 /// streaming bench can report allocations per pushed chunk. The
@@ -112,6 +120,48 @@ fn bench_train(duration_s: f64) -> SwitchingTrain {
         })
         .collect();
     SwitchingTrain { pulses, nominal_period_s: period, duration_s }
+}
+
+/// The per-sample comb `Interferer::add_to_window` used to compute:
+/// the same in-band gate and `phase0` draws, then one `from_polar` per
+/// harmonic and sample at its absolute index. The reference arm of the
+/// interference bench.
+fn reference_comb(
+    intf: &Interferer,
+    buf: &mut [Complex],
+    sample_rate: f64,
+    center_freq: f64,
+    seed: u64,
+    start: usize,
+) {
+    let mut rng = StdRng::seed_from_u64(seed ^ intf.fundamental_hz.to_bits());
+    for h in 1..=intf.harmonics {
+        let f_bb = intf.fundamental_hz * f64::from(h) - center_freq;
+        if f_bb.abs() > sample_rate / 2.0 {
+            continue;
+        }
+        let amp = intf.amplitude * intf.rolloff.powi(h as i32 - 1);
+        let phase0: f64 = rng.gen::<f64>() * 2.0 * std::f64::consts::PI;
+        let step = 2.0 * std::f64::consts::PI * f_bb / sample_rate;
+        for (k, slot) in buf.iter_mut().enumerate() {
+            *slot += Complex::from_polar(amp, phase0 + step * (start + k) as f64);
+        }
+    }
+}
+
+/// Calls `render(start, window)` on each zeroed [`FUSED_BLOCK`]-sample
+/// window of an `n`-sample capture, the way the fused TX chain walks
+/// it, and returns a checksum so the work cannot be optimised away.
+fn sweep_windows(n: usize, mut render: impl FnMut(usize, &mut [Complex])) -> f64 {
+    let mut window = vec![Complex::ZERO; FUSED_BLOCK];
+    let mut checksum = 0.0;
+    for start in (0..n).step_by(FUSED_BLOCK) {
+        let w = &mut window[..FUSED_BLOCK.min(n - start)];
+        w.fill(Complex::ZERO);
+        render(start, w);
+        checksum += w[0].re;
+    }
+    checksum
 }
 
 /// On-off-keyed covert capture at the corpus tuning (centre tuned to
@@ -433,6 +483,45 @@ fn main() {
     println!("  peak resident        {staged_resident} samples staged, {fused_resident} fused");
     println!("  capture bit-identical {fused_identical}\n");
 
+    // 7. Interferer combs: the through-wall printer + refrigerator
+    //    pair (25 in-band harmonics), anchored-phasor kernel vs the
+    //    per-sample reference, both in fused-size windows.
+    let comb_synth = SynthConfig::rtl_sdr_for(970e3);
+    let (comb_fs, comb_fc) = (comb_synth.sample_rate, comb_synth.center_freq);
+    let comb_n = ((if quick { 0.05 } else { 1.0 }) * comb_fs) as usize;
+    let combs = [Interferer::printer(0.8), Interferer::refrigerator(0.5)];
+    let comb_seed = |i: usize| seed ^ (i as u64) << 32;
+    let comb_fast = |start: usize, w: &mut [Complex]| {
+        for (i, intf) in combs.iter().enumerate() {
+            intf.add_to_window(w, comb_fs, comb_fc, comb_seed(i), start);
+        }
+    };
+    let comb_reference = |start: usize, w: &mut [Complex]| {
+        for (i, intf) in combs.iter().enumerate() {
+            reference_comb(intf, w, comb_fs, comb_fc, comb_seed(i), start);
+        }
+    };
+    let (comb_fast_s, _) = time_best(reps, || sweep_windows(comb_n, comb_fast));
+    let (comb_ref_s, _) = time_best(reps, || sweep_windows(comb_n, comb_reference));
+    let mut reference = vec![Complex::ZERO; FUSED_BLOCK];
+    let mut comb_max_err = 0.0f64;
+    sweep_windows(comb_n, |start, w| {
+        let r = &mut reference[..w.len()];
+        r.fill(Complex::ZERO);
+        comb_reference(start, r);
+        comb_fast(start, w);
+        comb_max_err = w.iter().zip(&*r).fold(comb_max_err, |m, (a, b)| m.max((*a - *b).abs()));
+    });
+    let weakest = combs.iter().map(|c| c.amplitude).fold(f64::INFINITY, f64::min);
+    let comb_err_db = 20.0 * (comb_max_err / weakest).log10();
+    let comb_fast_ns = comb_fast_s * 1e9 / comb_n as f64;
+    let comb_ref_ns = comb_ref_s * 1e9 / comb_n as f64;
+    let comb_speedup = comb_ref_s / comb_fast_s;
+    println!("interference (printer + refrigerator, {comb_n} samples):");
+    println!("  per-sample reference {comb_ref_ns:>9.1} ns/sample");
+    println!("  anchored phasors     {comb_fast_ns:>9.1} ns/sample   ({comb_speedup:.2}x)");
+    println!("  max error            {comb_err_db:>9.1} dB\n");
+
     let sessions_json = {
         let entries: Vec<String> = tenants
             .iter()
@@ -468,6 +557,13 @@ fn main() {
             "    \"fast_pool_s\": {:.6},\n",
             "    \"single_thread_speedup\": {:.3},\n",
             "    \"pool_speedup\": {:.3},\n",
+            "    \"error_db\": {:.1}\n",
+            "  }},\n",
+            "  \"interference\": {{\n",
+            "    \"samples\": {},\n",
+            "    \"reference_ns_per_sample\": {:.2},\n",
+            "    \"ns_per_sample\": {:.2},\n",
+            "    \"speedup\": {:.3},\n",
             "    \"error_db\": {:.1}\n",
             "  }},\n",
             "  \"fft\": {{\n",
@@ -521,6 +617,11 @@ fn main() {
         synth_1t,
         synth_pool,
         err_db,
+        comb_n,
+        comb_ref_ns,
+        comb_fast_ns,
+        comb_speedup,
+        comb_err_db,
         fft_n,
         fft_reps,
         uncached_s,
@@ -559,6 +660,7 @@ fn main() {
         assert!(identical, "--quick: grid rows not thread-count bit-identical");
         assert!(stream_identical, "--quick: chunked report != whole-capture report");
         assert!(fused_identical, "--quick: fused capture != staged capture");
+        assert!(comb_err_db <= -150.0, "--quick: comb error {comb_err_db:.1} dB above -150 dB");
         println!("--quick: invariants hold, BENCH_runtime.json left untouched");
     } else {
         std::fs::write("BENCH_runtime.json", &json).expect("write BENCH_runtime.json");

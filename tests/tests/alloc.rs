@@ -15,12 +15,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use emsc_core::chain::{Chain, Setup};
+use emsc_core::fused::FUSED_BLOCK;
 use emsc_core::laptop::Laptop;
 use emsc_covert::rx::RxConfig;
 use emsc_covert::stream::StreamingReceiver;
+use emsc_emfield::synth::samples_for;
 use emsc_pmu::workload::Program;
 use emsc_sdr::stream::EnergyStream;
 use emsc_sdr::Complex;
+use emsc_vrm::buck::Buck;
 
 struct CountingAlloc;
 
@@ -147,7 +150,35 @@ fn steady_state_streaming_is_allocation_free() {
         "fused producer allocated {fused_allocs}x over {blocks} steady-state blocks"
     );
 
-    // 4. The Hamming(7,4) decoder proper: it returns its nibble in a
+    // 4. The through-wall scene renderer: synthesis, path gain, both
+    //    interferer combs (tones held in fixed-size stack batches) and
+    //    AWGN, window by window over fused-size blocks into one reused
+    //    buffer. After one warm-up pass it must not touch the heap.
+    let wall = Chain::new(&laptop, Setup::ThroughWall);
+    let wall_program = Program::alternating(300e-6, 300e-6, 40, wall.machine.steady_state_ips());
+    let wall_train = Buck::new(wall.vrm.clone()).convert(&wall.machine.run(&wall_program, 9));
+    let wall_samples = samples_for(&wall_train, wall.scene.synth);
+    let renderer = wall.scene.window_renderer(&wall_train, 9);
+    let mut window = vec![Complex::ZERO; FUSED_BLOCK];
+    let mut render_pass = || {
+        for start in (0..wall_samples).step_by(FUSED_BLOCK) {
+            let w = &mut window[..FUSED_BLOCK.min(wall_samples - start)];
+            w.fill(Complex::ZERO);
+            renderer.render_into(start, w);
+            std::hint::black_box(w[0]);
+        }
+    };
+    render_pass();
+    let before = allocations();
+    render_pass();
+    let wall_allocs = allocations() - before;
+    assert!(wall_samples > 4 * FUSED_BLOCK, "the wall pass should span several blocks");
+    assert_eq!(
+        wall_allocs, 0,
+        "through-wall window renderer allocated {wall_allocs}x over {wall_samples} samples"
+    );
+
+    // 5. The Hamming(7,4) decoder proper: it returns its nibble in a
     //    fixed array, so decoding any number of codewords in a hot
     //    loop — the inner kernel of every deframe attempt the anchor
     //    candidate chain makes — is strictly heap-free.
