@@ -11,8 +11,8 @@ use emsc_emfield::scene::Scene;
 use emsc_pmu::sim::{ExternalEvent, Machine};
 use emsc_pmu::trace::PowerTrace;
 use emsc_pmu::workload::Program;
-use emsc_sdr::{Capture, Frontend, FrontendConfig};
-use emsc_vrm::buck::{Buck, BuckConfig};
+use emsc_sdr::{Capture, FrontendConfig};
+use emsc_vrm::buck::BuckConfig;
 use emsc_vrm::train::SwitchingTrain;
 
 use crate::laptop::Laptop;
@@ -114,25 +114,9 @@ impl Chain {
         self.finish(trace, seed)
     }
 
-    /// The staged reference chain: materialise the full analog
-    /// waveform, then digitise it in a second sweep. Bit-identical to
-    /// the fused path — kept as the oracle the equivalence tests and
-    /// the `perf_report` fused section compare against; everything
-    /// else should use [`Chain::run_trace`].
-    pub fn run_trace_staged(&self, trace: PowerTrace, seed: u64) -> ChainRun {
-        let trace = match self.blinking {
-            Some(b) => trace.with_blinking(b.period_s, b.duty, b.level_a),
-            None => trace,
-        };
-        let train = Buck::new(self.vrm.clone()).convert(&trace);
-        let analog = self.scene.render(&train, seed);
-        let capture = Frontend::new(self.frontend.clone()).digitize(&analog);
-        ChainRun { trace, train, capture }
-    }
-
     fn finish(&self, trace: PowerTrace, seed: u64) -> ChainRun {
-        // Fused blockwise path (see `crate::fused`): same stages, one
-        // cache-resident pass per block, bit-identical output.
+        // Fused blockwise path (see `crate::fused`): every TX stage
+        // applied per cache-resident block.
         crate::fused::ChainStream::new(self, trace, seed).into_run()
     }
 }

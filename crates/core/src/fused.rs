@@ -18,7 +18,7 @@
 //! stream keeps the rendered analog in a recycled arena:
 //!
 //! 1. **Render pass** (construction): each block is composed by
-//!    [`emsc_emfield::scene::Scene::render_window_into`] and folded
+//!    [`emsc_emfield::scene::WindowRenderer::render_into`] and folded
 //!    into the running peak while hot in cache.
 //! 2. **Digitise pass** ([`ChainStream::next_block`]): each block is
 //!    quantised by [`emsc_sdr::Frontend::digitize_window_into`] into a
@@ -33,8 +33,9 @@
 //!
 //! Every TX-side primitive is window-invariant (absolute-index phasor
 //! anchors, positional AWGN sub-seeding, absolute mixer grid), so the
-//! fused stream is **bit-identical** to the staged oracle
-//! ([`Chain::run_trace_staged`]) for every block size and thread
+//! fused stream is **bit-identical** to the whole-buffer composition
+//! `Buck::convert` → [`emsc_emfield::scene::Scene::render`] →
+//! [`emsc_sdr::Frontend::digitize`] for every block size and thread
 //! count. The tests in `tests/tests/streaming.rs` pin this at block
 //! sizes {1, 7, 4096, whole} × `EMSC_THREADS` ∈ {1, 3}.
 
@@ -104,8 +105,8 @@ pub struct ChainStream {
 
 impl ChainStream {
     /// Renders the chain's analog waveform blockwise (the fused pass 1)
-    /// and readies the digitise cursor. Blinking, VRM conversion and
-    /// seeding match [`Chain::run_trace_staged`] exactly.
+    /// and readies the digitise cursor. Blinking is applied to the
+    /// trace before the VRM converts it.
     pub fn new(chain: &Chain, trace: PowerTrace, seed: u64) -> Self {
         ChainStream::with_block_samples(chain, trace, seed, FUSED_BLOCK)
     }
@@ -177,7 +178,7 @@ impl ChainStream {
     /// push it into a consumer before advancing.
     ///
     /// Concatenating every block reproduces
-    /// `Chain::run_trace_staged(..).capture.samples` bit for bit.
+    /// `Frontend::digitize(&scene.render(..)).samples` bit for bit.
     pub fn next_block(&mut self) -> Option<&[Complex]> {
         let ChainScratch { analog, block } = &mut self.scratch;
         if self.cursor >= analog.len() {
@@ -245,22 +246,33 @@ mod tests {
     use crate::laptop::Laptop;
     use emsc_pmu::workload::Program;
 
+    /// The whole-buffer TX composition the fused stream must reproduce:
+    /// blinking → buck → full analog render → one digitise sweep.
+    fn staged_capture(chain: &Chain, trace: &PowerTrace, seed: u64) -> Vec<Complex> {
+        let trace = match chain.blinking {
+            Some(b) => trace.clone().with_blinking(b.period_s, b.duty, b.level_a),
+            None => trace.clone(),
+        };
+        let train = Buck::new(chain.vrm.clone()).convert(&trace);
+        let analog = chain.scene.render(&train, seed);
+        Frontend::new(chain.frontend.clone()).digitize(&analog).samples
+    }
+
     #[test]
     fn fused_run_matches_staged_oracle_bitwise() {
         let laptop = Laptop::dell_inspiron();
         let chain = Chain::new(&laptop, Setup::NearField);
         let program = Program::alternating(300e-6, 300e-6, 12, chain.machine.steady_state_ips());
         let trace = chain.machine.run(&program, 7);
-        let staged = chain.run_trace_staged(trace.clone(), 7);
+        let staged = staged_capture(&chain, &trace, 7);
         let fused = chain.stream_trace(trace, 7).into_run();
-        assert_eq!(staged.capture.samples.len(), fused.capture.samples.len());
-        for (i, (a, b)) in staged.capture.samples.iter().zip(&fused.capture.samples).enumerate() {
+        assert_eq!(staged.len(), fused.capture.samples.len());
+        for (i, (a, b)) in staged.iter().zip(&fused.capture.samples).enumerate() {
             assert!(
                 a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
                 "sample {i} differs"
             );
         }
-        assert_eq!(staged.train.pulses.len(), fused.train.pulses.len());
     }
 
     #[test]

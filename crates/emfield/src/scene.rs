@@ -9,11 +9,9 @@
 use emsc_sdr::iq::Complex;
 use emsc_vrm::train::SwitchingTrain;
 
-use crate::interference::{add_awgn, add_awgn_window, Interferer};
+use crate::interference::{add_awgn_window, Interferer};
 use crate::path::Path;
-use crate::synth::{
-    pulses_sorted, render_train, render_train_window_hint, samples_for, SynthConfig,
-};
+use crate::synth::{pulses_sorted, render_train_window_hint, samples_for, SynthConfig};
 
 /// A complete RF scene.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,52 +60,18 @@ impl Scene {
     }
 
     /// Renders the received analog baseband waveform for a switching
-    /// train. Deterministic for a given `(train, seed)`.
+    /// train: one [`WindowRenderer::render_into`] call over the whole
+    /// capture. Deterministic for a given `(train, seed)`.
     pub fn render(&self, train: &SwitchingTrain, seed: u64) -> Vec<Complex> {
-        let n = samples_for(train, self.synth);
-        let mut buf = render_train(train, self.synth, n);
-        let gain = self.path.gain() * self.emission_scale;
-        for s in buf.iter_mut() {
-            *s = s.scale(gain);
-        }
-        for (i, intf) in self.interferers.iter().enumerate() {
-            intf.add_to(
-                &mut buf,
-                self.synth.sample_rate,
-                self.synth.center_freq,
-                seed ^ (i as u64) << 32,
-            );
-        }
-        add_awgn(&mut buf, self.noise_sigma, seed ^ 0x00ff_00ff_00ff_00ff);
+        let mut buf = vec![Complex::ZERO; samples_for(train, self.synth)];
+        self.window_renderer(train, seed).render_into(0, &mut buf);
         buf
     }
 
-    /// Renders the window `[start, start + out.len())` of the received
-    /// waveform into a caller-zeroed slice, bit-identical to the same
-    /// index range of [`Scene::render`] for the same `(train, seed)`.
-    ///
-    /// This is the fused TX chain's per-block composition: synthesis,
-    /// path gain, interferer combs and AWGN are all applied to the
-    /// block while it is cache-resident, and every stage is
-    /// window-invariant ([`render_train_window`](crate::synth::render_train_window), interferer
-    /// phasors anchored on absolute samples, blockwise sub-seeded
-    /// noise) so the decomposition into blocks is unobservable in the
-    /// output.
-    pub fn render_window_into(
-        &self,
-        train: &SwitchingTrain,
-        seed: u64,
-        start: usize,
-        out: &mut [Complex],
-    ) {
-        self.window_renderer(train, seed).render_into(start, out);
-    }
-
-    /// A renderer for many windows of one `(train, seed)` run: probes
+    /// A renderer for the windows of one `(train, seed)` run: probes
     /// the train's pulse ordering once (O(pulses)) so each window pays
     /// only the documented binary-search + warm-up overhead. This is
-    /// what a blockwise producer should hold for the run's lifetime;
-    /// [`Scene::render_window_into`] is the one-shot form.
+    /// what a blockwise producer should hold for the run's lifetime.
     pub fn window_renderer<'a>(
         &'a self,
         train: &'a SwitchingTrain,
@@ -252,12 +216,13 @@ mod tests {
         let train = regular_train(f_sw, 8e-6, 4e-3);
         let whole = scene.render(&train, 77);
         let n = whole.len();
-        for window in [7usize, 997, 4096, n] {
+        let renderer = scene.window_renderer(&train, 77);
+        for window in [7usize, 997, 4096] {
             let mut composed = vec![Complex::ZERO; n];
             let mut start = 0;
             while start < n {
                 let len = window.min(n - start);
-                scene.render_window_into(&train, 77, start, &mut composed[start..start + len]);
+                renderer.render_into(start, &mut composed[start..start + len]);
                 start += len;
             }
             for (i, (a, b)) in composed.iter().zip(&whole).enumerate() {

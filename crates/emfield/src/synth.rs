@@ -46,36 +46,6 @@ const LUT_RES: usize = 1024;
 /// window decomposition reproduces it bit for bit.
 const PHASOR_REFRESH: usize = 256;
 
-/// Samples per render chunk on the whole-buffer fast path. Windows are
-/// self-contained and window-invariant (see [`render_train_window`]),
-/// so a capture renders bit-identically whether the chunks run on one
-/// thread or many — and at any other block size.
-const CHUNK_SAMPLES: usize = 1 << 16;
-
-/// Which synthesis implementation [`render_train`] (and its
-/// chunk-windowed form [`render_train_window`]) uses.
-///
-/// Both modes render *window-invariantly*: the samples of any window
-/// `[start, start + len)` are bit-identical to the same index range of
-/// a whole-buffer render, so callers may decompose a capture into
-/// blocks of any size — the fused TX chain renders L1-sized blocks,
-/// the whole-buffer path renders `CHUNK_SAMPLES`-sized chunks across
-/// the worker pool, and both agree exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SynthMode {
-    /// Table-driven kernel with a globally-anchored incremental
-    /// carrier phasor (exact `cis` at every `PHASOR_REFRESH`-th
-    /// pulse *of the train*, one complex multiply in between).
-    /// Matches [`SynthMode::Exact`] to better than −90 dB.
-    #[default]
-    Fast,
-    /// Reference scalar path: per-pulse `cis` and analytically
-    /// evaluated kernel. Kept for accuracy audits and tests. Every
-    /// tap is computed from absolute sample indices, so the windowed
-    /// form is trivially bit-identical to the whole-buffer form.
-    Exact,
-}
-
 /// Synthesis parameters: where the receiver is tuned and how fast it
 /// samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,8 +55,6 @@ pub struct SynthConfig {
     /// Tuner centre frequency, hertz. Choose it so `f_sw` and `2·f_sw`
     /// both land within `±sample_rate/2`.
     pub center_freq: f64,
-    /// Synthesis implementation (fast LUT path by default).
-    pub mode: SynthMode,
 }
 
 impl SynthConfig {
@@ -95,12 +63,7 @@ impl SynthConfig {
     /// and its first harmonic so both are in-band (§IV-B1 uses exactly
     /// those two components).
     pub fn rtl_sdr_for(f_sw: f64) -> Self {
-        SynthConfig { sample_rate: 2.4e6, center_freq: 1.5 * f_sw, mode: SynthMode::default() }
-    }
-
-    /// The same receiver with the reference scalar synthesis path.
-    pub fn exact(self) -> Self {
-        SynthConfig { mode: SynthMode::Exact, ..self }
+        SynthConfig { sample_rate: 2.4e6, center_freq: 1.5 * f_sw }
     }
 
     /// Baseband offset of RF frequency `f` under this configuration.
@@ -186,7 +149,8 @@ fn kernel_fast(x: f64, lut: &[f64]) -> f64 {
 }
 
 /// Renders a switching train into an ideal (noise-free, unit-path)
-/// complex-baseband waveform of `n_samples` samples.
+/// complex-baseband waveform of `n_samples` samples: one
+/// [`render_train_window`] call over the whole range.
 ///
 /// The output amplitude is in "source amperes": a VRM continuously
 /// replenishing `I` amperes produces a spectral line of complex
@@ -209,25 +173,17 @@ fn kernel_fast(x: f64, lut: &[f64]) -> f64 {
 /// assert_eq!(iq.len(), 4096);
 /// ```
 pub fn render_train(train: &SwitchingTrain, config: SynthConfig, n_samples: usize) -> Vec<Complex> {
-    match config.mode {
-        // The fast path assumes time-ordered pulses (every generator
-        // in this workspace emits them that way); fall back to the
-        // reference path for the rare unsorted train.
-        SynthMode::Fast if pulses_are_sorted(train) => render_train_fast(train, config, n_samples),
-        _ => render_train_exact(train, config, n_samples),
-    }
+    let mut out = vec![Complex::ZERO; n_samples];
+    render_train_window(train, config, 0, &mut out);
+    out
 }
 
 /// Whether the train's pulses are time-ordered — the precondition for
-/// the binary-searched fast paths. O(pulses); callers rendering many
+/// the binary-searched fast path. O(pulses); callers rendering many
 /// windows of one train should probe once and pass the result to
 /// [`render_train_window_hint`] instead of paying this per window.
 pub fn pulses_sorted(train: &SwitchingTrain) -> bool {
     train.pulses.windows(2).all(|w| w[0].t_s <= w[1].t_s)
-}
-
-fn pulses_are_sorted(train: &SwitchingTrain) -> bool {
-    pulses_sorted(train)
 }
 
 /// Renders the window `[start, start + out.len())` of a capture —
@@ -237,7 +193,7 @@ fn pulses_are_sorted(train: &SwitchingTrain) -> bool {
 ///
 /// This is the chunk-windowed entry the fused TX chain renders its
 /// cache-resident blocks through. Window invariance holds because
-/// nothing in either mode depends on the window placement:
+/// nothing depends on the window placement:
 ///
 /// - the carrier phasor anchors at global pulse indices (an exact
 ///   `cis` at every `PHASOR_REFRESH`-th pulse *of the train*), and a
@@ -247,7 +203,10 @@ fn pulses_are_sorted(train: &SwitchingTrain) -> bool {
 /// - each pulse's kernel-LUT row and interpolation fraction are
 ///   computed from the pulse's *intrinsic* first tap (`⌈center − H⌉`,
 ///   which may precede the window); clipping at the window edge only
-///   shifts an integer row offset, never the fraction.
+///   shifts an integer row offset, never the fraction;
+/// - an unsorted train (no generator in this workspace emits one)
+///   takes the per-pulse `cis` + analytic-kernel path, whose every tap
+///   is a function of its absolute sample index.
 ///
 /// Cost per window beyond the taps themselves: one binary search over
 /// the train and at most `PHASOR_REFRESH − 1` carrier warm-up
@@ -265,10 +224,7 @@ pub fn render_train_window(
 /// out: `sorted` **must** equal `pulses_sorted(train)`. This is the
 /// entry for blockwise producers — the probe is O(pulses), so paying
 /// it once per run instead of once per block keeps the per-window
-/// overhead at the documented binary-search + warm-up level. Both
-/// modes narrow to the window's pulse range when `sorted` (skipped
-/// pulses contribute nothing in-window, so output is bit-identical to
-/// the full walk).
+/// overhead at the documented binary-search + warm-up level.
 pub fn render_train_window_hint(
     train: &SwitchingTrain,
     config: SynthConfig,
@@ -276,35 +232,22 @@ pub fn render_train_window_hint(
     start: usize,
     out: &mut [Complex],
 ) {
-    match config.mode {
-        SynthMode::Fast if sorted => render_window_fast(train, config, start, out),
-        _ => render_window_exact(train, config, sorted, start, out),
+    if sorted {
+        render_window_fast(train, config, start, out)
+    } else {
+        render_window_exact(train, config, start, out)
     }
 }
 
-/// Reference synthesis: per-pulse `Complex::cis` and the analytic
-/// kernel. O(pulses × kernel width), single-threaded.
-pub fn render_train_exact(
-    train: &SwitchingTrain,
-    config: SynthConfig,
-    n_samples: usize,
-) -> Vec<Complex> {
-    let mut out = vec![Complex::ZERO; n_samples];
-    render_window_exact(train, config, false, 0, &mut out);
-    out
-}
-
-/// Windowed reference path: absolute sample indices and per-pulse
-/// `cis`, so a window is bit-identical to the matching range of the
-/// whole-buffer render by construction. When the caller vouches the
-/// train is time-ordered, the pulse walk narrows to the window's
-/// support range by binary search (out-of-range pulses contribute
-/// nothing in-window, so the narrowed walk is bit-identical); an
-/// unsorted train falls back to walking every pulse.
+/// Per-pulse `Complex::cis` and the analytic kernel at absolute sample
+/// indices, walking every pulse: the only path that renders an
+/// unsorted train (the fast path binary-searches the pulse range). A
+/// window is bit-identical to the matching range of the whole-buffer
+/// render by construction. Also the accuracy reference the fast path
+/// is tested against.
 fn render_window_exact(
     train: &SwitchingTrain,
     config: SynthConfig,
-    sorted: bool,
     start: usize,
     out: &mut [Complex],
 ) {
@@ -313,16 +256,7 @@ fn render_window_exact(
         return;
     }
     let fs = config.sample_rate;
-    let pulses = if sorted {
-        let t_min = (start as f64 - KERNEL_HALF_WIDTH as f64) / fs;
-        let t_max = ((start + len) as f64 + KERNEL_HALF_WIDTH as f64) / fs;
-        let first = train.pulses.partition_point(|p| p.t_s < t_min);
-        let last = train.pulses.partition_point(|p| p.t_s < t_max);
-        &train.pulses[first..last]
-    } else {
-        &train.pulses[..]
-    };
-    for pulse in pulses {
+    for pulse in &train.pulses {
         let carrier = Complex::cis(-2.0 * std::f64::consts::PI * config.center_freq * pulse.t_s);
         let amp = pulse.charge_c * fs;
         let center = pulse.t_s * fs;
@@ -335,47 +269,6 @@ fn render_window_exact(
             out[n - start] += carrier.scale(amp * kernel(n as f64 - center));
         }
     }
-}
-
-/// Fast synthesis: table-driven kernel, globally-anchored incremental
-/// carrier phasor, independent fixed-size windows fanned across the
-/// worker pool. Requires time-ordered pulses.
-///
-/// Determinism: windows are invariant (see [`render_train_window`]) and
-/// stitched in index order, so the waveform is bit-identical for any
-/// worker count and any chunk size.
-fn render_train_fast(
-    train: &SwitchingTrain,
-    config: SynthConfig,
-    n_samples: usize,
-) -> Vec<Complex> {
-    let n_chunks = n_samples.div_ceil(CHUNK_SAMPLES).max(1);
-    // Window values depend only on the window placement and the train,
-    // so a single worker can write them straight into the final buffer
-    // — skipping the per-chunk allocations and the stitch copy the
-    // fan-out path pays — and stay bit-identical to the pool result.
-    if n_chunks == 1 || emsc_runtime::current_threads() == 1 {
-        let mut out = vec![Complex::ZERO; n_samples];
-        for c in 0..n_chunks {
-            let start = c * CHUNK_SAMPLES;
-            let len = CHUNK_SAMPLES.min(n_samples - start);
-            render_window_fast(train, config, start, &mut out[start..start + len]);
-        }
-        return out;
-    }
-    let chunk_ids: Vec<usize> = (0..n_chunks).collect();
-    let chunks = emsc_runtime::par_map(&chunk_ids, |&c| {
-        let start = c * CHUNK_SAMPLES;
-        let len = CHUNK_SAMPLES.min(n_samples - start);
-        let mut out = vec![Complex::ZERO; len];
-        render_window_fast(train, config, start, &mut out);
-        out
-    });
-    let mut out = Vec::with_capacity(n_samples);
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    out
 }
 
 /// Incremental carrier phasor with global pulse-index anchors: pulse
@@ -519,7 +412,7 @@ const N_SHORT: usize = LUT_ROW - 1;
 
 /// One pulse's tap updates at a compile-time count: `dst[i] +=
 /// carrier · (amp · k_i)` with the same per-tap expression as the
-/// generic loop in [`render_chunk_into`].
+/// generic loop in [`render_window_fast`].
 #[inline]
 fn tap_block<const N: usize>(
     dst: &mut [Complex],
@@ -691,6 +584,18 @@ mod tests {
         assert!(iq.iter().all(|z| z.abs() == 0.0));
     }
 
+    /// Reference synthesis over a whole buffer: per-pulse `cis` and the
+    /// analytic kernel for every pulse, whatever the train's order.
+    fn render_train_exact(
+        train: &SwitchingTrain,
+        config: SynthConfig,
+        n_samples: usize,
+    ) -> Vec<Complex> {
+        let mut out = vec![Complex::ZERO; n_samples];
+        render_window_exact(train, config, 0, &mut out);
+        out
+    }
+
     /// RMS error of the fast path relative to the exact path, in dB.
     fn relative_error_db(fast: &[Complex], exact: &[Complex]) -> f64 {
         let err: f64 = fast.iter().zip(exact).map(|(a, b)| (*a - *b).norm_sqr()).sum();
@@ -701,12 +606,11 @@ mod tests {
     #[test]
     fn fast_path_matches_exact_below_minus_90_db() {
         // Regular train — the phasor's amortised-rotation regime —
-        // long enough to span several chunks.
+        // long enough to cross hundreds of phasor re-anchors.
         let f_sw = 937.5e3;
         let train = regular_train(f_sw, 8e-6, 60e-3);
         let cfg = SynthConfig::rtl_sdr_for(f_sw);
         let n = samples_for(&train, cfg);
-        assert!(n > CHUNK_SAMPLES, "test must cover the chunked path");
         let fast = render_train(&train, cfg, n);
         let exact = render_train_exact(&train, cfg, n);
         let db = relative_error_db(&fast, &exact);
@@ -737,16 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_mode_flag_selects_the_reference_path() {
-        let f_sw = 1e6;
-        let train = regular_train(f_sw, 2e-6, 2e-3);
-        let cfg = SynthConfig::rtl_sdr_for(f_sw);
-        let via_flag = render_train(&train, cfg.exact(), 4096);
-        let direct = render_train_exact(&train, cfg, 4096);
-        assert!(via_flag.iter().zip(&direct).all(|(a, b)| a.re == b.re && a.im == b.im));
-    }
-
-    #[test]
     fn unsorted_trains_fall_back_to_the_exact_path() {
         let f_sw = 1e6;
         let mut train = regular_train(f_sw, 2e-6, 2e-3);
@@ -755,20 +649,6 @@ mod tests {
         let fast_cfg = render_train(&train, cfg, 4096);
         let exact = render_train_exact(&train, cfg, 4096);
         assert!(fast_cfg.iter().zip(&exact).all(|(a, b)| a.re == b.re && a.im == b.im));
-    }
-
-    #[test]
-    fn chunked_render_is_thread_count_independent() {
-        let f_sw = 937.5e3;
-        let train = regular_train(f_sw, 8e-6, 60e-3);
-        let cfg = SynthConfig::rtl_sdr_for(f_sw);
-        let n = samples_for(&train, cfg);
-        let serial = emsc_runtime::with_threads(1, || render_train(&train, cfg, n));
-        let parallel = emsc_runtime::with_threads(8, || render_train(&train, cfg, n));
-        assert!(serial
-            .iter()
-            .zip(&parallel)
-            .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()));
     }
 
     /// Renders `n` samples as a sequence of `window`-sized blocks
@@ -803,9 +683,10 @@ mod tests {
     fn windowed_render_composes_bitwise_with_whole_buffer() {
         // Window invariance is the foundation of the fused TX chain:
         // any block decomposition must reproduce the whole-buffer
-        // render bit for bit, in both modes, for regular and jittered
-        // trains (the latter defeats the Δt-rotator cache, exercising
-        // the per-pulse `cis` warm-up).
+        // render bit for bit, for regular and jittered trains (the
+        // latter defeats the Δt-rotator cache, exercising the
+        // per-pulse `cis` warm-up) and for an unsorted train, which
+        // takes the per-pulse reference path.
         let f_sw = 937.5e3;
         let mut jittered = regular_train(f_sw, 8e-6, 4e-3);
         let mut state = 0x9E37u64;
@@ -817,14 +698,17 @@ mod tests {
             p.t_s = (p.t_s + 0.4 * u / f_sw).max(0.0);
         }
         jittered.pulses.sort_by(|a, b| a.t_s.partial_cmp(&b.t_s).unwrap());
-        for train in [regular_train(f_sw, 8e-6, 4e-3), jittered] {
-            for cfg in [SynthConfig::rtl_sdr_for(f_sw), SynthConfig::rtl_sdr_for(f_sw).exact()] {
-                let n = samples_for(&train, cfg);
-                let whole = render_train(&train, cfg, n);
-                for window in [1usize, 7, 997, 4096] {
-                    let composed = render_by_windows(&train, cfg, n, window);
-                    assert_bitwise_eq(&composed, &whole, &format!("window {window}"));
-                }
+        // Shorter: the unsorted path walks every pulse per window.
+        let mut unsorted = regular_train(f_sw, 8e-6, 1e-3);
+        unsorted.pulses.swap(100, 101);
+        assert!(!pulses_sorted(&unsorted));
+        let cfg = SynthConfig::rtl_sdr_for(f_sw);
+        for train in [regular_train(f_sw, 8e-6, 4e-3), jittered, unsorted] {
+            let n = samples_for(&train, cfg);
+            let whole = render_train(&train, cfg, n);
+            for window in [1usize, 7, 997, 4096] {
+                let composed = render_by_windows(&train, cfg, n, window);
+                assert_bitwise_eq(&composed, &whole, &format!("window {window}"));
             }
         }
     }
@@ -838,7 +722,7 @@ mod tests {
         // odd boundary cutting straight through a pulse's support,
         // including a pulse whose center sits exactly on the boundary.
         let fs = 2.4e6;
-        let cfg = SynthConfig { sample_rate: fs, center_freq: 1.4e6, mode: SynthMode::Fast };
+        let cfg = SynthConfig { sample_rate: fs, center_freq: 1.4e6 };
         let train = SwitchingTrain {
             pulses: vec![
                 Pulse { t_s: 94.3 / fs, charge_c: 3e-6 }, // straddles n = 100
@@ -865,7 +749,7 @@ mod tests {
 
     #[test]
     fn strided_lut_walk_matches_per_tap_lookup() {
-        // `render_chunk` hoists the LUT interpolation: the index
+        // `render_window_fast` hoists the LUT interpolation: the index
         // strides by LUT_RES with a once-per-pulse fractional part.
         // Check it against the naive per-tap `kernel_fast` for awkward
         // fractional centers, including the exact-edge case.

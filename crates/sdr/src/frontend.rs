@@ -13,18 +13,6 @@ use crate::simd::peak_abs;
 /// RTL-SDR v3 maximum reliable sample rate, samples per second (§IV-C1).
 pub const RTL_SDR_MAX_SAMPLE_RATE: f64 = 2.4e6;
 
-/// Which ppm-mixer implementation [`Frontend::digitize`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DigitizeMode {
-    /// Incrementally-rotated phasor with a periodic exact re-anchor
-    /// (one complex multiply per sample instead of a `cis`).
-    #[default]
-    Fast,
-    /// Reference path: an exact `cis` per sample. Kept for parity
-    /// testing and benchmarking.
-    Exact,
-}
-
 /// Configuration of the receiver front end.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontendConfig {
@@ -42,8 +30,6 @@ pub struct FrontendConfig {
     /// Fraction of ADC full scale the AGC maps the observed signal
     /// peak to (leaving headroom avoids clipping on transients).
     pub agc_target: f64,
-    /// Digitiser implementation (fast incremental mixer by default).
-    pub mode: DigitizeMode,
 }
 
 impl FrontendConfig {
@@ -56,7 +42,6 @@ impl FrontendConfig {
             ppm_error: 1.5,
             dc_offset: 0.004,
             agc_target: 0.7,
-            mode: DigitizeMode::default(),
         }
     }
 
@@ -69,13 +54,7 @@ impl FrontendConfig {
             ppm_error: 0.0,
             dc_offset: 0.0,
             agc_target: 1.0,
-            mode: DigitizeMode::default(),
         }
-    }
-
-    /// The same front end with the reference per-sample mixer.
-    pub fn exact(self) -> Self {
-        FrontendConfig { mode: DigitizeMode::Exact, ..self }
     }
 }
 
@@ -102,6 +81,14 @@ impl Capture {
     }
 }
 
+/// Narrowest ADC the quantiser supports: a signed `b`-bit ADC has
+/// `2^(b−1) − 1` positive levels, none at all for `b = 1`.
+const MIN_ADC_BITS: u32 = 2;
+
+fn valid_sample_rate(rate: f64) -> bool {
+    rate > 0.0 && rate.is_finite()
+}
+
 /// The receiver front end: applies tuner error, AGC and quantisation
 /// to an ideal analog baseband signal.
 #[derive(Debug, Clone)]
@@ -114,27 +101,30 @@ impl Frontend {
     ///
     /// # Panics
     ///
-    /// Panics if the sample rate is not positive or `adc_bits` is zero.
+    /// Panics on the configurations [`Frontend::try_new`] rejects: a
+    /// sample rate that is not positive and finite, or fewer than two
+    /// ADC bits.
     pub fn new(config: FrontendConfig) -> Self {
-        assert!(config.sample_rate > 0.0, "sample rate must be positive");
-        assert!(config.adc_bits > 0, "ADC must have at least one bit");
+        assert!(valid_sample_rate(config.sample_rate), "sample rate must be positive and finite");
+        assert!(config.adc_bits >= MIN_ADC_BITS, "ADC must have at least two bits");
         Frontend { config }
     }
 
     /// Fallible variant of [`Frontend::new`]: reports a bad sample
-    /// rate or zero-bit ADC as a typed error instead of panicking.
+    /// rate or ADC width as a typed error instead of panicking.
     ///
     /// # Errors
     ///
     /// [`CaptureError::InvalidSampleRate`] if the sample rate is not
     /// positive and finite; [`CaptureError::InvalidConfig`] if
-    /// `adc_bits` is zero.
+    /// `adc_bits` is below two (a 1-bit signed ADC has no non-zero
+    /// level, so every quantised sample would be NaN).
     pub fn try_new(config: FrontendConfig) -> Result<Self, CaptureError> {
-        if !(config.sample_rate > 0.0 && config.sample_rate.is_finite()) {
+        if !valid_sample_rate(config.sample_rate) {
             return Err(CaptureError::InvalidSampleRate);
         }
-        if config.adc_bits == 0 {
-            return Err(CaptureError::InvalidConfig("ADC must have at least one bit"));
+        if config.adc_bits < MIN_ADC_BITS {
+            return Err(CaptureError::InvalidConfig("ADC must have at least two bits"));
         }
         Ok(Frontend { config })
     }
@@ -148,11 +138,12 @@ impl Frontend {
     /// [`Capture`], applying ppm frequency error, AGC scaling, DC
     /// offset and ADC quantisation.
     ///
-    /// With [`DigitizeMode::Fast`] (the default) the ppm mixer
-    /// advances an incrementally-rotated phasor, re-anchored with an
-    /// exact `cis` every 64 samples; the accumulated rounding drift
-    /// stays at the 1e-14 level — far below the ADC's quantisation
-    /// step, so quantised captures match the reference path.
+    /// The ppm mixer advances an incrementally rotated phasor,
+    /// re-anchored with an exact `cis` every 64 samples; the
+    /// accumulated rounding drift stays at the 1e-14 level, far below
+    /// the ADC's quantisation step, so quantised captures equal those
+    /// of a per-sample `cis` mixer bit for bit.
+    ///
     /// Allocating wrapper around [`Frontend::digitize_into`].
     pub fn digitize(&self, analog: &[Complex]) -> Capture {
         let mut samples = Vec::new();
@@ -193,12 +184,11 @@ impl Frontend {
     /// range of [`Frontend::digitize_into`] when `gain` is the
     /// global-peak gain from [`Frontend::agc_gain`].
     ///
-    /// Window invariance: the fast mixer's 64-sample re-anchor grid is
-    /// defined on *absolute* indices (`n % 64 == 0`), its in-block
+    /// Window invariance: the mixer's 64-sample re-anchor grid is
+    /// defined on *absolute* indices (`n % 64 == 0`) and its in-block
     /// rotator powers `step^k` are a pure function of the
-    /// configuration, and the exact mixer evaluates `cis` at the
-    /// absolute time `n / fs` — so the quantiser sees the same value
-    /// sequence for any decomposition. A window starting mid-anchor-
+    /// configuration, so the quantiser sees the same value sequence
+    /// for any decomposition. A window starting mid-anchor-
     /// block simply enters the rotator table at its offset.
     ///
     /// `out` is cleared and refilled; steady-state allocation-free
@@ -213,10 +203,8 @@ impl Frontend {
         let cfg = &self.config;
         let df = cfg.center_freq * cfg.ppm_error / 1e6;
         // Quantisation rescales by a precomputed reciprocal — one
-        // rounding difference in the last ulp versus dividing by `q`,
-        // applied identically on the Fast and Exact paths so their
-        // quantised outputs stay equal bit for bit.
-        let quant_levels = if cfg.adc_bits >= 53 {
+        // rounding difference in the last ulp versus dividing by `q`.
+        let quant = if cfg.adc_bits >= 53 {
             None
         } else {
             let q = ((1u64 << (cfg.adc_bits - 1)) - 1) as f64;
@@ -227,73 +215,50 @@ impl Frontend {
         let phase_step = 2.0 * std::f64::consts::PI * df / cfg.sample_rate;
         out.clear();
         out.reserve(analog.len());
-        match (cfg.mode, quant_levels) {
-            (DigitizeMode::Fast, quant) => {
-                // In-block rotators `step^k` are precomputed once, so
-                // each sample's phasor is `anchor · pw[k]` — every
-                // sample independent of the previous one, instead of a
-                // serial `rot *= step` chain whose complex-multiply
-                // latency bounds the whole loop. The ~ulp drift of
-                // `anchor · step^k` versus the running product resets
-                // at each 64-sample re-anchor, exactly like the chain's
-                // own drift (pinned against Exact in the tests below).
-                let step = Complex::cis(phase_step);
-                let mut pw = [Complex::new(1.0, 0.0); REFRESH];
-                for k in 1..REFRESH {
-                    pw[k] = pw[k - 1] * step;
+        // In-block rotators `step^k` are precomputed once, so each
+        // sample's phasor is `anchor · pw[k]` — every sample
+        // independent of the previous one, instead of a serial
+        // `rot *= step` chain whose complex-multiply latency bounds the
+        // whole loop. The ~ulp drift of `anchor · step^k` versus the
+        // running product resets at each 64-sample re-anchor, exactly
+        // like the chain's own drift (pinned against a per-sample `cis`
+        // oracle in the tests below).
+        let step = Complex::cis(phase_step);
+        let mut pw = [Complex::new(1.0, 0.0); REFRESH];
+        for k in 1..REFRESH {
+            pw[k] = pw[k - 1] * step;
+        }
+        let mut rot = [Complex::new(1.0, 0.0); REFRESH];
+        let mut consumed = 0usize;
+        while consumed < analog.len() {
+            // Exact re-anchor on the absolute 64-sample grid, then the
+            // block's phasors `anchor · step^k` materialised up front:
+            // one complex multiply per sample in the push loop.
+            let n = start + consumed;
+            let block_idx = n / REFRESH;
+            let offset = n % REFRESH;
+            let take = (REFRESH - offset).min(analog.len() - consumed);
+            let anchor = Complex::cis(phase_step * (block_idx * REFRESH) as f64);
+            for (r, &p) in rot.iter_mut().zip(&pw) {
+                *r = anchor * p;
+            }
+            let block = &analog[consumed..consumed + take];
+            let rots = &rot[offset..offset + take];
+            match quant {
+                Some((q, q_inv)) => {
+                    out.extend(block.iter().zip(rots).map(|(&z, &r)| {
+                        let v = (z * r).scale(gain) + dc;
+                        Complex::new(
+                            (v.re.clamp(-1.0, 1.0) * q).round() * q_inv,
+                            (v.im.clamp(-1.0, 1.0) * q).round() * q_inv,
+                        )
+                    }));
                 }
-                let mut rot = [Complex::new(1.0, 0.0); REFRESH];
-                let mut consumed = 0usize;
-                while consumed < analog.len() {
-                    // Exact re-anchor on the absolute 64-sample grid —
-                    // the same `n % 64 == 0` refresh as the historical
-                    // per-sample loop — then the block's phasors
-                    // `anchor · step^k` materialised up front: one
-                    // complex multiply per sample in the push loop.
-                    let n = start + consumed;
-                    let block_idx = n / REFRESH;
-                    let offset = n % REFRESH;
-                    let take = (REFRESH - offset).min(analog.len() - consumed);
-                    let anchor = Complex::cis(phase_step * (block_idx * REFRESH) as f64);
-                    for (r, &p) in rot.iter_mut().zip(&pw) {
-                        *r = anchor * p;
-                    }
-                    let block = &analog[consumed..consumed + take];
-                    let rots = &rot[offset..offset + take];
-                    match quant {
-                        Some((q, q_inv)) => {
-                            out.extend(block.iter().zip(rots).map(|(&z, &r)| {
-                                let v = (z * r).scale(gain) + dc;
-                                Complex::new(
-                                    (v.re.clamp(-1.0, 1.0) * q).round() * q_inv,
-                                    (v.im.clamp(-1.0, 1.0) * q).round() * q_inv,
-                                )
-                            }));
-                        }
-                        None => {
-                            out.extend(
-                                block.iter().zip(rots).map(|(&z, &r)| (z * r).scale(gain) + dc),
-                            );
-                        }
-                    }
-                    consumed += take;
+                None => {
+                    out.extend(block.iter().zip(rots).map(|(&z, &r)| (z * r).scale(gain) + dc));
                 }
             }
-            (DigitizeMode::Exact, quant) => {
-                let quantize = |v: Complex| match quant {
-                    Some((q, q_inv)) => Complex::new(
-                        (v.re.clamp(-1.0, 1.0) * q).round() * q_inv,
-                        (v.im.clamp(-1.0, 1.0) * q).round() * q_inv,
-                    ),
-                    None => v,
-                };
-                out.extend(analog.iter().enumerate().map(|(k, &z)| {
-                    let t = (start + k) as f64 / cfg.sample_rate;
-                    let v =
-                        (z * Complex::cis(2.0 * std::f64::consts::PI * df * t)).scale(gain) + dc;
-                    quantize(v)
-                }));
-            }
+            consumed += take;
         }
     }
 }
@@ -302,6 +267,35 @@ impl Frontend {
 mod tests {
     use super::*;
     use crate::fft::{frequency_bin, plan_for};
+
+    /// Reference digitiser: an exact `cis` mixer at every absolute
+    /// sample, with the same global-peak AGC gain, DC offset and
+    /// quantiser as [`Frontend::digitize`].
+    fn digitize_exact(fe: &Frontend, analog: &[Complex]) -> Vec<Complex> {
+        let cfg = fe.config();
+        let gain = fe.agc_gain(peak_abs(analog));
+        let df = cfg.center_freq * cfg.ppm_error / 1e6;
+        let dc = Complex::new(cfg.dc_offset, cfg.dc_offset);
+        let quant = (cfg.adc_bits < 53).then(|| {
+            let q = ((1u64 << (cfg.adc_bits - 1)) - 1) as f64;
+            (q, 1.0 / q)
+        });
+        analog
+            .iter()
+            .enumerate()
+            .map(|(n, &z)| {
+                let t = n as f64 / cfg.sample_rate;
+                let v = (z * Complex::cis(2.0 * std::f64::consts::PI * df * t)).scale(gain) + dc;
+                match quant {
+                    Some((q, q_inv)) => Complex::new(
+                        (v.re.clamp(-1.0, 1.0) * q).round() * q_inv,
+                        (v.im.clamp(-1.0, 1.0) * q).round() * q_inv,
+                    ),
+                    None => v,
+                }
+            })
+            .collect()
+    }
 
     fn fft(x: &[Complex]) -> Vec<Complex> {
         let mut buf = x.to_vec();
@@ -417,24 +411,16 @@ mod tests {
         let fs = 2.4e6;
         let x = tone(234_375.0, fs, 1 << 15, 0.8);
         // Quantised: the 8-bit grid absorbs the phasor drift entirely.
-        let cfg = FrontendConfig::rtl_sdr_v3(1.4e6);
-        let fast = Frontend::new(cfg.clone()).digitize(&x);
-        let exact = Frontend::new(cfg.exact()).digitize(&x);
-        assert_eq!(fast.samples, exact.samples);
+        let fe = Frontend::new(FrontendConfig::rtl_sdr_v3(1.4e6));
+        assert_eq!(fe.digitize(&x).samples, digitize_exact(&fe, &x));
         // Unquantised: drift stays at the rounding-noise level.
-        let cfg = FrontendConfig { adc_bits: 62, ..FrontendConfig::rtl_sdr_v3(1.4e6) };
-        let fast = Frontend::new(cfg.clone()).digitize(&x);
-        let exact = Frontend::new(cfg.exact()).digitize(&x);
-        let rms = (exact.samples.iter().map(|z| z.norm_sqr()).sum::<f64>()
-            / exact.samples.len() as f64)
-            .sqrt();
-        let err = (fast
-            .samples
-            .iter()
-            .zip(&exact.samples)
-            .map(|(a, b)| (*a - *b).norm_sqr())
-            .sum::<f64>()
-            / exact.samples.len() as f64)
+        let fe =
+            Frontend::new(FrontendConfig { adc_bits: 62, ..FrontendConfig::rtl_sdr_v3(1.4e6) });
+        let fast = fe.digitize(&x).samples;
+        let exact = digitize_exact(&fe, &x);
+        let rms = (exact.iter().map(|z| z.norm_sqr()).sum::<f64>() / exact.len() as f64).sqrt();
+        let err = (fast.iter().zip(&exact).map(|(a, b)| (*a - *b).norm_sqr()).sum::<f64>()
+            / exact.len() as f64)
             .sqrt();
         assert!(err < 1e-12 * rms, "mixer drift {err} vs rms {rms}");
     }
@@ -443,11 +429,7 @@ mod tests {
     fn digitize_into_matches_digitize_and_reuses_its_buffer() {
         let fs = 2.4e6;
         let x = tone(100e3, fs, 10_000, 0.8);
-        for cfg in [
-            FrontendConfig::rtl_sdr_v3(1.4e6),
-            FrontendConfig::rtl_sdr_v3(1.4e6).exact(),
-            FrontendConfig::ideal(fs, 1.4e6),
-        ] {
+        for cfg in [FrontendConfig::rtl_sdr_v3(1.4e6), FrontendConfig::ideal(fs, 1.4e6)] {
             let fe = Frontend::new(cfg);
             let cap = fe.digitize(&x);
             let mut out = Vec::new();
@@ -461,12 +443,10 @@ mod tests {
 
     #[test]
     fn digitize_windows_compose_bitwise_with_whole_buffer() {
-        use crate::simd::peak_abs;
         let fs = 2.4e6;
         let x = tone(100e3, fs, 10_000, 0.8);
         for cfg in [
             FrontendConfig::rtl_sdr_v3(1.4e6),
-            FrontendConfig::rtl_sdr_v3(1.4e6).exact(),
             FrontendConfig { adc_bits: 62, ..FrontendConfig::rtl_sdr_v3(1.4e6) },
             FrontendConfig::ideal(fs, 1.4e6),
         ] {
@@ -515,14 +495,54 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "sample rate")]
+    fn infinite_sample_rate_panics() {
+        Frontend::new(FrontendConfig {
+            sample_rate: f64::INFINITY,
+            ..FrontendConfig::ideal(1.0, 0.0)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "sample rate")]
+    fn nan_sample_rate_panics() {
+        Frontend::new(FrontendConfig { sample_rate: f64::NAN, ..FrontendConfig::ideal(1.0, 0.0) });
+    }
+
+    #[test]
+    #[should_panic(expected = "two bits")]
+    fn one_bit_adc_panics() {
+        Frontend::new(FrontendConfig { adc_bits: 1, ..FrontendConfig::rtl_sdr_v3(1.4e6) });
+    }
+
+    #[test]
+    fn two_bit_adc_digitizes_to_finite_levels() {
+        let fe = Frontend::new(FrontendConfig { adc_bits: 2, ..FrontendConfig::rtl_sdr_v3(1.4e6) });
+        let cap = fe.digitize(&tone(100e3, 2.4e6, 1024, 0.8));
+        assert!(cap
+            .samples
+            .iter()
+            .all(|z| [-1.0, 0.0, 1.0].contains(&z.re) && [-1.0, 0.0, 1.0].contains(&z.im)));
+    }
+
+    #[test]
     fn try_new_reports_bad_configs_instead_of_panicking() {
         use crate::error::CaptureError;
-        let bad_rate = FrontendConfig { sample_rate: 0.0, ..FrontendConfig::ideal(1.0, 0.0) };
-        assert_eq!(Frontend::try_new(bad_rate).unwrap_err(), CaptureError::InvalidSampleRate);
-        let nan_rate = FrontendConfig { sample_rate: f64::NAN, ..FrontendConfig::ideal(1.0, 0.0) };
-        assert_eq!(Frontend::try_new(nan_rate).unwrap_err(), CaptureError::InvalidSampleRate);
-        let no_bits = FrontendConfig { adc_bits: 0, ..FrontendConfig::ideal(1.0, 0.0) };
-        assert!(matches!(Frontend::try_new(no_bits), Err(CaptureError::InvalidConfig(_))));
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let bad_rate = FrontendConfig { sample_rate: rate, ..FrontendConfig::ideal(1.0, 0.0) };
+            assert_eq!(
+                Frontend::try_new(bad_rate).unwrap_err(),
+                CaptureError::InvalidSampleRate,
+                "sample rate {rate}"
+            );
+        }
+        for bits in [0, 1] {
+            let too_narrow = FrontendConfig { adc_bits: bits, ..FrontendConfig::ideal(1.0, 0.0) };
+            assert!(
+                matches!(Frontend::try_new(too_narrow), Err(CaptureError::InvalidConfig(_))),
+                "{bits}-bit ADC"
+            );
+        }
         assert!(Frontend::try_new(FrontendConfig::rtl_sdr_v3(1.4e6)).is_ok());
     }
 }

@@ -17,10 +17,13 @@ use emsc_covert::rx::{Receiver, RxConfig, RxError, RxReport};
 use emsc_covert::stream::StreamingReceiver;
 use emsc_keylog::detect::{DetectError, DetectionReport, Detector, DetectorConfig};
 use emsc_keylog::stream::StreamingDetector;
+use emsc_pmu::trace::PowerTrace;
 use emsc_pmu::workload::Program;
 use emsc_runtime::with_threads;
-use emsc_sdr::Capture;
+use emsc_sdr::iq::Complex;
+use emsc_sdr::{Capture, Frontend};
 use emsc_tests::{corpus, noise, FS, F_SW};
+use emsc_vrm::buck::Buck;
 
 /// Chunk sizes every capture is replayed at (`usize::MAX` = whole).
 const CHUNKINGS: [usize; 4] = [1, 7, 64 * 1024, usize::MAX];
@@ -134,22 +137,36 @@ fn streaming_survives_single_sample_pushes_interleaved_with_bulk() {
     }
 }
 
+/// The whole-buffer TX composition: blinking → buck → full analog
+/// render → one digitise sweep. The oracle the fused producer is
+/// pinned against.
+fn staged_capture(chain: &Chain, trace: &PowerTrace, seed: u64) -> Vec<Complex> {
+    let trace = match chain.blinking {
+        Some(b) => trace.clone().with_blinking(b.period_s, b.duty, b.level_a),
+        None => trace.clone(),
+    };
+    let train = Buck::new(chain.vrm.clone()).convert(&trace);
+    let analog = chain.scene.render(&train, seed);
+    Frontend::new(chain.frontend.clone()).digitize(&analog).samples
+}
+
 #[test]
 fn fused_tx_chain_is_bit_identical_to_staged_at_any_block_size_and_thread_count() {
     // The TX-side mirror of the receiver contract above: the fused
     // producer (synth→AWGN→digitise per cache-resident block) must
-    // reproduce the staged oracle's capture bit for bit at every block
-    // size and worker count. A short trace keeps the deliberately
-    // pathological 1-sample blocking affordable in debug builds.
+    // reproduce the whole-buffer composition bit for bit at every
+    // block size and worker count. A short trace keeps the
+    // deliberately pathological 1-sample blocking affordable in debug
+    // builds.
     let laptop = Laptop::dell_inspiron();
     let chain = Chain::new(&laptop, Setup::ThroughWall);
     let program = Program::alternating(200e-6, 200e-6, 4, chain.machine.steady_state_ips());
     let trace = chain.machine.run(&program, 41);
-    let staged = with_threads(1, || chain.run_trace_staged(trace.clone(), 41));
+    let staged = with_threads(1, || staged_capture(&chain, &trace, 41));
     for threads in [1usize, 3] {
-        // The staged oracle must itself be thread-count independent…
-        let staged_t = with_threads(threads, || chain.run_trace_staged(trace.clone(), 41));
-        assert_eq!(staged_t.capture.samples, staged.capture.samples, "staged at {threads} threads");
+        // The oracle must itself be thread-count independent…
+        let staged_t = with_threads(threads, || staged_capture(&chain, &trace, 41));
+        assert_eq!(staged_t, staged, "staged at {threads} threads");
         // …and the fused producer must match it at every blocking.
         for block in [1usize, 7, 4096, usize::MAX] {
             let fused = with_threads(threads, || {
@@ -160,8 +177,8 @@ fn fused_tx_chain_is_bit_identical_to_staged_at_any_block_size_and_thread_count(
                 }
                 samples
             });
-            assert_eq!(fused.len(), staged.capture.samples.len());
-            for (i, (a, b)) in fused.iter().zip(&staged.capture.samples).enumerate() {
+            assert_eq!(fused.len(), staged.len());
+            for (i, (a, b)) in fused.iter().zip(&staged).enumerate() {
                 assert!(
                     a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
                     "block {block}, {threads} threads: sample {i} differs"
