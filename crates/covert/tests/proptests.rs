@@ -85,6 +85,16 @@ proptest! {
     }
 
     #[test]
+    fn semiglobal_counts_are_consistent(tx in bits(80), rx in bits(100)) {
+        let a = align_semiglobal(&tx, &rx);
+        prop_assert_eq!(a.tx_len(), tx.len());
+        // Lead and trail junk is dropped, never invented.
+        prop_assert!(a.rx_len() <= rx.len());
+        // Deleting every transmitted bit is always an alignment.
+        prop_assert!(a.substitutions + a.insertions + a.deletions <= tx.len());
+    }
+
+    #[test]
     fn identical_streams_have_zero_errors(tx in bits(120)) {
         let a = align(&tx, &tx);
         prop_assert_eq!(a.substitutions, 0);

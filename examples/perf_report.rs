@@ -30,11 +30,16 @@
 //!    kernel vs a reference loop with one `from_polar` per harmonic
 //!    and sample: ns/sample for both, speedup and the kernel's max
 //!    error relative to the weaker comb's fundamental.
+//! 7. **Alignment** — the semi-global metric alignment of one
+//!    marker-coded frame (2,339 on-air bits) against a seeded impaired
+//!    receive with lead junk: ms per call of the bit-parallel kernel.
 //!
 //! `--quick` runs every section at smoke scale and asserts its
 //! invariants (grid rows bit-identical across thread counts, chunked
 //! receive == whole-capture receive, fused capture == whole-buffer
-//! capture, comb error ≤ −150 dB) without writing the JSON.
+//! capture, comb error ≤ −150 dB, the alignment covers every sent bit
+//! and scores the frame against itself error-free) without writing
+//! the JSON.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,6 +50,7 @@ use emsc_core::covert_run::CovertScenario;
 use emsc_core::experiments::tables::{measure_channel_grid, TableScale};
 use emsc_core::fused::{ChainStream, FUSED_BLOCK};
 use emsc_core::laptop::Laptop;
+use emsc_covert::metrics::align_semiglobal;
 use emsc_covert::rx::{Receiver, RxConfig};
 use emsc_covert::stream::StreamingReceiver;
 use emsc_emfield::interference::Interferer;
@@ -459,6 +465,42 @@ fn main() {
     println!("  anchored phasors     {comb_fast_ns:>9.1} ns/sample   ({comb_speedup:.2}x)");
     println!("  max error            {comb_err_db:>9.1} dB\n");
 
+    // 7. Alignment: the semi-global score of one marker-coded frame
+    //    (2,339 on-air bits, as `MarkerConfig::standard()` puts a
+    //    128-byte payload on air) against a receive with 40 lead junk
+    //    bits, then 5 % substitutions and 2 % each of insertions and
+    //    deletions.
+    let align_n = 2339;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let align_tx: Vec<u8> = (0..align_n).map(|_| rng.gen_range(0..2)).collect();
+    let mut align_rx: Vec<u8> = (0..40).map(|_| rng.gen_range(0..2)).collect();
+    for &t in &align_tx {
+        if rng.gen_bool(0.02) {
+            align_rx.push(rng.gen_range(0..2));
+        }
+        if !rng.gen_bool(0.02) {
+            align_rx.push(t ^ u8::from(rng.gen_bool(0.05)));
+        }
+    }
+    let align_calls = if quick { 5 } else { 100 };
+    let (align_s, scored) = time_best(reps, || {
+        let mut scored = None;
+        for _ in 0..align_calls {
+            scored = Some(std::hint::black_box(align_semiglobal(&align_tx, &align_rx)));
+        }
+        scored.expect("align_calls >= 1")
+    });
+    let align_ms = align_s * 1e3 / align_calls as f64;
+    let self_aligned = align_semiglobal(&align_tx, &align_tx);
+    println!("alignment (semi-global, {align_n} tx x {} rx bits):", align_rx.len());
+    println!("  bit-parallel kernel  {align_ms:>9.3} ms/call");
+    println!(
+        "  BER {:.4}  IP {:.4}  DP {:.4}\n",
+        scored.ber(),
+        scored.insertion_probability(),
+        scored.deletion_probability()
+    );
+
     let sessions_json = {
         let entries: Vec<String> = tenants
             .iter()
@@ -487,6 +529,11 @@ fn main() {
         concat!(
             "{{\n",
             "  \"threads\": {},\n",
+            "  \"alignment\": {{\n",
+            "    \"tx_bits\": {},\n",
+            "    \"rx_bits\": {},\n",
+            "    \"ms_per_call\": {:.4}\n",
+            "  }},\n",
             "  \"interference\": {{\n",
             "    \"samples\": {},\n",
             "    \"reference_ns_per_sample\": {:.2},\n",
@@ -532,6 +579,9 @@ fn main() {
             "}}\n"
         ),
         threads,
+        align_n,
+        align_rx.len(),
+        align_ms,
         comb_n,
         comb_ref_ns,
         comb_fast_ns,
@@ -570,6 +620,12 @@ fn main() {
         assert!(stream_identical, "--quick: chunked report != whole-capture report");
         assert!(fused_identical, "--quick: fused capture != whole-buffer capture");
         assert!(comb_err_db <= -150.0, "--quick: comb error {comb_err_db:.1} dB above -150 dB");
+        assert_eq!(scored.tx_len(), align_n, "--quick: alignment does not cover every sent bit");
+        assert_eq!(
+            self_aligned.substitutions + self_aligned.insertions + self_aligned.deletions,
+            0,
+            "--quick: a frame aligned with itself has errors"
+        );
         println!("--quick: invariants hold, BENCH_runtime.json left untouched");
     } else {
         std::fs::write("BENCH_runtime.json", &json).expect("write BENCH_runtime.json");

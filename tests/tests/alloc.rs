@@ -5,7 +5,9 @@
 //! warmed up, pushing chunks through the DSP front end with a
 //! caller-owned output buffer must not touch the heap at all, and the
 //! full covert receiver may only pay the rare amortised doubling of
-//! its accumulated energy/edge vectors.
+//! its accumulated energy/edge vectors. A second counter adds up the
+//! bytes requested, which pins the working set of the metric
+//! alignment.
 //!
 //! This file holds exactly one `#[test]`: the allocation counter is
 //! process-global, so a second concurrently-running test in the same
@@ -28,10 +30,12 @@ use emsc_vrm::buck::Buck;
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static REQUESTED_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        REQUESTED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -41,6 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        REQUESTED_BYTES.fetch_add(new_size, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -51,6 +56,12 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// Heap allocations so far (monotonic).
 fn allocations() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Bytes requested from the heap so far (monotonic; frees are not
+/// subtracted, a realloc counts its new size).
+fn requested_bytes() -> usize {
+    REQUESTED_BYTES.load(Ordering::Relaxed)
 }
 
 /// On-off-keyed capture samples at the corpus tuning, with a
@@ -204,4 +215,38 @@ fn steady_state_streaming_is_allocation_free() {
     let decode_allocs = allocations() - before;
     assert!(corrected > 0, "the error sprinkle above should exercise the corrector");
     assert_eq!(decode_allocs, 0, "hamming74_decode allocated {decode_allocs}x over 1024 codewords");
+
+    // 6. The semi-global metric alignment of one marker-coded frame
+    //    (2,339 on-air bits) against a receive with lead junk and
+    //    indels: the bit-parallel kernel keeps two delta words per
+    //    64 tx bits and rx bit, ~1.4 MB here, where an (n+1)(m+1)
+    //    `u32` table would request ~22 MB.
+    let mut state = 0x5EED_u64;
+    let mut coin = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let tx: Vec<u8> = (0..2339).map(|_| (coin() & 1) as u8).collect();
+    let mut rx: Vec<u8> = (0..12).map(|_| (coin() & 1) as u8).collect();
+    for &t in &tx {
+        match coin() % 500 {
+            0 => {}                                  // deletion
+            1 => rx.extend([t, (coin() & 1) as u8]), // insertion
+            2 => rx.push(t ^ 1),                     // substitution
+            _ => rx.push(t),
+        }
+    }
+    assert!((2300..2400).contains(&rx.len()), "rx has {} bits", rx.len());
+    let before = requested_bytes();
+    let a = std::hint::black_box(emsc_covert::metrics::align_semiglobal(&tx, &rx));
+    let align_bytes = requested_bytes() - before;
+    assert_eq!(a.tx_len(), tx.len());
+    assert!(
+        align_bytes < 2 << 20,
+        "align_semiglobal requested {align_bytes} bytes for {}x{} bits",
+        tx.len(),
+        rx.len()
+    );
 }
