@@ -194,6 +194,20 @@ struct Slot {
     stats: SessionStats,
 }
 
+impl Slot {
+    /// Pushes the buffered samples through the state machine and
+    /// empties the buffer, keeping its capacity for the next offers.
+    /// Returns how many samples were processed.
+    fn drain(&mut self) -> usize {
+        let n = self.buffer.len();
+        self.machine.push(&self.buffer);
+        self.buffer.clear();
+        self.stats.samples_processed += n;
+        self.stats.buffered = 0;
+        n
+    }
+}
+
 /// Owns and multiplexes N concurrent streaming sessions.
 #[derive(Debug)]
 pub struct SessionRegistry {
@@ -322,6 +336,13 @@ impl SessionRegistry {
                 limit,
             });
         }
+        let needed = slot.buffer.len() + chunk.len();
+        if needed > slot.buffer.capacity() {
+            // The buffer outlives each pump, so grow it geometrically
+            // but never past the limit.
+            let target = slot.buffer.capacity().saturating_mul(2).clamp(needed, limit);
+            slot.buffer.reserve_exact(target - slot.buffer.len());
+        }
         slot.buffer.extend_from_slice(chunk);
         slot.stats.chunks_accepted += 1;
         slot.stats.samples_accepted += chunk.len();
@@ -344,14 +365,7 @@ impl SessionRegistry {
             .filter(|s| !s.buffer.is_empty())
             .map(Mutex::new)
             .collect();
-        let counts = par_map(&work, |cell| {
-            let mut slot = cell.lock().expect("session slot lock");
-            let buffer = std::mem::take(&mut slot.buffer);
-            slot.machine.push(&buffer);
-            slot.stats.samples_processed += buffer.len();
-            slot.stats.buffered = 0;
-            buffer.len()
-        });
+        let counts = par_map(&work, |cell| cell.lock().expect("session slot lock").drain());
         counts.iter().sum()
     }
 
@@ -367,10 +381,7 @@ impl SessionRegistry {
         let slot = self.slots.get_mut(id.0).ok_or(SessionError::UnknownSession)?;
         let mut slot = slot.take().ok_or(SessionError::UnknownSession)?;
         if !slot.buffer.is_empty() {
-            let buffer = std::mem::take(&mut slot.buffer);
-            slot.machine.push(&buffer);
-            slot.stats.samples_processed += buffer.len();
-            slot.stats.buffered = 0;
+            slot.drain();
         }
         let output = slot.machine.finish();
         if let Some(kind) = output.error_kind() {
@@ -464,6 +475,27 @@ mod tests {
         reg.pump();
         assert_eq!(reg.stats(id).unwrap().buffered, 0);
         reg.offer(id, &capture.samples[800..1800]).expect("fits after pump");
+    }
+
+    #[test]
+    fn pump_keeps_buffer_capacity_within_the_limit() {
+        let (scenario, capture, _) = near_field_capture();
+        let limit = 10_000;
+        let mut reg = SessionRegistry::new(7, limit);
+        let id = reg
+            .open_covert(scenario.rx.clone(), capture.sample_rate, capture.center_freq)
+            .expect("open");
+        let mut kept = 0;
+        for chunk in capture.samples.chunks(3_001) {
+            while reg.offer(id, chunk).is_err() {
+                reg.pump();
+                let buffer = &reg.slot(id).unwrap().buffer;
+                assert!(buffer.is_empty());
+                kept = kept.max(buffer.capacity());
+            }
+            assert!(reg.slot(id).unwrap().buffer.capacity() <= limit);
+        }
+        assert!(kept >= 9_003, "pump dropped the buffer's capacity ({kept})");
     }
 
     #[test]

@@ -198,6 +198,34 @@ pub fn find_peaks(signal: &[f64], min_height: f64, min_distance: usize) -> Vec<P
         if !keep[i] {
             continue;
         }
+        // Candidates ascend by index, so the neighbours closer than
+        // `min_distance` form one contiguous range around `i`.
+        let Peak { index: at, value } = candidates[i];
+        let lo = candidates.partition_point(|p| p.index.saturating_add(min_distance) <= at);
+        let hi = candidates.partition_point(|p| p.index < at.saturating_add(min_distance));
+        for (j, k) in (lo..hi).zip(&mut keep[lo..hi]) {
+            if j != i && *k && candidates[j].value <= value {
+                *k = false;
+            }
+        }
+    }
+    candidates.into_iter().zip(keep).filter_map(|(p, k)| k.then_some(p)).collect()
+}
+
+/// The quadratic suppression [`find_peaks`] used to run — every kept
+/// peak scanning every candidate — kept as the windowed pass's oracle.
+#[cfg(test)]
+fn suppress_oracle(candidates: &[Peak], min_distance: usize) -> Vec<Peak> {
+    if min_distance <= 1 {
+        return candidates.to_vec();
+    }
+    let mut by_height: Vec<usize> = (0..candidates.len()).collect();
+    by_height.sort_by(|&a, &b| candidates[b].value.total_cmp(&candidates[a].value));
+    let mut keep = vec![true; candidates.len()];
+    for &i in &by_height {
+        if !keep[i] {
+            continue;
+        }
         for (j, k) in keep.iter_mut().enumerate() {
             if j != i
                 && *k
@@ -208,7 +236,7 @@ pub fn find_peaks(signal: &[f64], min_height: f64, min_distance: usize) -> Vec<P
             }
         }
     }
-    candidates.into_iter().zip(keep).filter_map(|(p, k)| k.then_some(p)).collect()
+    candidates.iter().zip(keep).filter_map(|(p, k)| k.then_some(*p)).collect()
 }
 
 /// Scales `signal` so its maximum absolute value is 1 (no-op for an
@@ -356,6 +384,33 @@ mod tests {
         let peaks = find_peaks(&y, 0.5, 1);
         assert_eq!(peaks.len(), 1);
         assert_eq!(peaks[0].index, 1);
+    }
+
+    #[test]
+    fn windowed_suppression_matches_the_quadratic_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // A small value alphabet makes plateaus and equal-height
+        // neighbours common; NaN and ±inf ride along.
+        let alphabet =
+            [0.0, -0.0, 1.0, 2.0, 2.0, 3.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut rng = StdRng::seed_from_u64(0x9ea5);
+        for case in 0..400 {
+            let n = rng.gen_range(0..160);
+            let signal: Vec<f64> =
+                (0..n).map(|_| alphabet[rng.gen_range(0..alphabet.len())]).collect();
+            let min_height = [f64::NEG_INFINITY, 0.0, 1.5, f64::NAN][case % 4];
+            let all = find_peaks(&signal, min_height, 1);
+            for min_distance in (1..n + 8).chain([usize::MAX]) {
+                let want = suppress_oracle(&all, min_distance);
+                let got = find_peaks(&signal, min_height, min_distance);
+                assert_eq!(got.len(), want.len(), "case {case}, distance {min_distance}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.index, w.index, "case {case}, distance {min_distance}");
+                    assert_eq!(g.value.to_bits(), w.value.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,42 +3,145 @@
 //! The paper's receiver (§IV-B, Eq. (1)) computes, for *every* sample
 //! position `n`, the sum of FFT-bin magnitudes over the set `S` of
 //! VRM-related frequency components — an STFT with "maximum
-//! overlapping" (hop = 1). Computing a full 1024-point FFT per sample
-//! is wasteful when only two or three bins are needed, so this module
-//! implements the classic sliding-DFT recursion
+//! overlapping" (hop = 1). Computing a full FFT per sample is wasteful
+//! when only two or three bins are needed, so this module tracks them
+//! with the *modulated* sliding DFT (Jacobsen & Lyons, "The sliding
+//! DFT", IEEE SP Magazine 2003; Duda, "Accurate, guaranteed stable,
+//! sliding DFT", IEEE SP Magazine 2010). Each bin `k` of an `M`-sample
+//! window keeps
 //!
 //! ```text
-//! F_{n+1}[k] = (F_n[k] + x[n+1] − x[n+1−M]) · e^{+2πik/M}
+//! S_k[n] = Σ_{t=n−M+1..n} x[t] · tw_k[t mod M],   tw_k[j] = e^{−2πikj/M}
+//!        = S_k[n−1] + (x[n] − x[n−M]) · tw_k[n mod M]
 //! ```
 //!
-//! with periodic exact re-summation to keep floating-point drift
-//! bounded. The result is numerically equal (to ~1e-9) to evaluating a
-//! rectangular-windowed DFT at every sample, at `O(|S|)` per sample.
+//! which is the window-aligned DFT up to a unit phasor,
+//! `F_n[k] = S_k[n] · e^{+2πik(n+1)/M}`. So `|F_n[k]| = |S_k[n]|` and
+//! the Eq. (1) energy needs no rotation at all, and the recurrence's
+//! loop-carried dependency is an add rather than the classic
+//! `(F + x − old) · e^{+2πik/M}` complex multiply.
+//!
+//! **Absolute block grid.** The updates are summed in four independent
+//! accumulators per bin (lane = ring slot mod 4), and the partial sums
+//! fold into `S_k` only at grid points fixed by the absolute sample
+//! index: every ring wrap (a multiple of `M`), where every 64th wrap
+//! instead re-sums `S_k` exactly from the ring to clear accumulated
+//! rounding. An emission reads `|S_k + Σ partials|` without folding.
+//! No grid point depends on chunk edges or on the decimation, so the
+//! output is bitwise the same for every chunking, and
+//! [`SlidingDft::push`] is the one-sample case of
+//! [`SlidingDft::process_into`].
+//!
+//! The kernel is tolerance-bounded against the rotating recurrence it
+//! replaced (a `#[cfg(test)]` oracle in this module): ≤ −120 dB error
+//! relative to the peak energy, measured at −284 to −297 dB over the
+//! torture corpus.
 
 use crate::error::CaptureError;
 use crate::fft::frequency_bin;
 use crate::iq::Complex;
-use crate::scratch::{reset_complex, DspScratch};
 
-/// Tracks the complex value of selected DFT bins over a sliding
-/// rectangular window of `M` samples.
+/// Independent partial-sum accumulators per bin.
+const LANES: usize = 4;
+/// Exact re-summation period, in windows, anchored on absolute sample
+/// index (every `REFRESH_WINDOWS · M`-th sample).
+const REFRESH_WINDOWS: usize = 64;
+/// Longest run of samples whose `x − old` deltas are staged at once.
+const BLOCK: usize = 256;
+
+/// Per-bin partial sums of the updates since the last grid point, one
+/// accumulator per lane.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lanes {
+    re: [f64; LANES],
+    im: [f64; LANES],
+}
+
+impl Lanes {
+    /// `lane += (dr + i·di) · (tr + i·ti)`.
+    #[inline(always)]
+    fn add(&mut self, lane: usize, dr: f64, di: f64, tr: f64, ti: f64) {
+        self.re[lane] += dr * tr - di * ti;
+        self.im[lane] += dr * ti + di * tr;
+    }
+
+    /// Accumulates the deltas of consecutive ring slots starting at
+    /// `slot` against their twiddles (`tr`/`ti`, same length as the
+    /// deltas). Each sample lands in lane `slot mod LANES`, in slot
+    /// order, however the run is split.
+    #[inline(always)]
+    fn accumulate(&mut self, slot: usize, dr: &[f64], di: &[f64], tr: &[f64], ti: &[f64]) {
+        let n = dr.len();
+        let (di, tr, ti) = (&di[..n], &tr[..n], &ti[..n]);
+        let mut acc = *self;
+        let head = ((LANES - slot % LANES) % LANES).min(n);
+        for i in 0..head {
+            acc.add((slot + i) % LANES, dr[i], di[i], tr[i], ti[i]);
+        }
+        let body = head + (n - head) / LANES * LANES;
+        for (((r, m), a), b) in dr[head..body]
+            .chunks_exact(LANES)
+            .zip(di[head..body].chunks_exact(LANES))
+            .zip(tr[head..body].chunks_exact(LANES))
+            .zip(ti[head..body].chunks_exact(LANES))
+        {
+            for l in 0..LANES {
+                acc.add(l, r[l], m[l], a[l], b[l]);
+            }
+        }
+        for i in body..n {
+            acc.add(i - body, dr[i], di[i], tr[i], ti[i]);
+        }
+        *self = acc;
+    }
+
+    /// The lanes' sum, as a fixed pairwise tree.
+    #[inline]
+    fn fold(&self) -> Complex {
+        let tree = |v: &[f64; LANES]| (v[0] + v[1]) + (v[2] + v[3]);
+        Complex::new(tree(&self.re), tree(&self.im))
+    }
+}
+
+/// A non-finite sample enters the window as zero — a dropout, what a
+/// dongle glitch produces — reported by the flag.
+#[inline(always)]
+fn sanitize(x: Complex) -> (Complex, bool) {
+    let finite = x.re.is_finite() & x.im.is_finite();
+    (if finite { x } else { Complex::ZERO }, !finite)
+}
+
+/// `|z|` as `√(re² + im²)` while the sum of squares is a normal
+/// number, else [`Complex::abs`] (`hypot`), which cannot overflow or
+/// underflow.
+#[inline]
+fn magnitude(z: Complex) -> f64 {
+    let sq = z.re * z.re + z.im * z.im;
+    if sq.is_normal() {
+        sq.sqrt()
+    } else {
+        z.abs()
+    }
+}
+
+/// Tracks selected DFT bins over a sliding rectangular window of `M`
+/// samples (see the [module docs](self) for the arithmetic).
 #[derive(Debug, Clone)]
 pub struct SlidingDft {
     window: usize,
     bins: Vec<usize>,
-    /// Per-bin phase rotator `e^{+2πik/M}`.
-    rotators: Vec<Complex>,
-    /// Exact-resummation twiddles `e^{-2πikm/M}`, row-major per bin —
-    /// precomputed so the periodic [`refresh`](Self::push) costs no
-    /// trig at runtime.
-    refresh_twiddles: Vec<Complex>,
-    /// Per-bin current value `F_n[k]`.
-    values: Vec<Complex>,
-    /// Ring buffer of the last `M` input samples.
+    /// `tw_k[j] = e^{−2πikj/M}` for each tracked bin and ring slot,
+    /// split into real and imaginary tables, row-major per bin.
+    tw_re: Vec<f64>,
+    tw_im: Vec<f64>,
+    /// Per-bin `S_k` as of the last grid point.
+    sums: Vec<Complex>,
+    /// Per-bin updates since the last grid point.
+    partials: Vec<Lanes>,
+    /// The last `M` input samples; sample `t` sits in slot `t mod M`.
     ring: Vec<Complex>,
     head: usize,
     seen: usize,
-    since_refresh: usize,
 }
 
 impl SlidingDft {
@@ -75,11 +178,7 @@ impl SlidingDft {
     }
 
     fn build(window: usize, bins: &[usize]) -> Self {
-        let rotators = bins
-            .iter()
-            .map(|&k| Complex::cis(2.0 * std::f64::consts::PI * k as f64 / window as f64))
-            .collect();
-        let refresh_twiddles = bins
+        let twiddles: Vec<Complex> = bins
             .iter()
             .flat_map(|&k| {
                 (0..window).map(move |m| {
@@ -90,13 +189,13 @@ impl SlidingDft {
         SlidingDft {
             window,
             bins: bins.to_vec(),
-            rotators,
-            refresh_twiddles,
-            values: vec![Complex::ZERO; bins.len()],
+            tw_re: twiddles.iter().map(|t| t.re).collect(),
+            tw_im: twiddles.iter().map(|t| t.im).collect(),
+            sums: vec![Complex::ZERO; bins.len()],
+            partials: vec![Lanes::default(); bins.len()],
             ring: vec![Complex::ZERO; window],
             head: 0,
             seen: 0,
-            since_refresh: 0,
         }
     }
 
@@ -118,70 +217,99 @@ impl SlidingDft {
         &self.bins
     }
 
-    /// Pushes one sample and updates every tracked bin.
+    /// Pushes one sample (zero if it is not finite) and updates every
+    /// tracked bin: the one-sample case of
+    /// [`SlidingDft::process_into`].
     pub fn push(&mut self, x: Complex) {
-        let oldest = self.ring[self.head];
-        self.ring[self.head] = x;
-        self.head += 1;
-        if self.head == self.window {
-            self.head = 0;
+        let slot = self.head;
+        let (x, _) = sanitize(x);
+        let old = std::mem::replace(&mut self.ring[slot], x);
+        self.accumulate(slot, &[x.re - old.re], &[x.im - old.im], &[], &mut []);
+        self.advance(1);
+    }
+
+    /// Adds the staged deltas of ring slots `start..start + dr.len()`
+    /// to every bin's partial sums. `cuts` are the run offsets of the
+    /// emissions strictly inside the run, ascending: as each bin passes
+    /// one, it adds its magnitude to the matching `energies` entry, so
+    /// every emission folds `|S_k|` in bin order.
+    fn accumulate(
+        &mut self,
+        start: usize,
+        dr: &[f64],
+        di: &[f64],
+        cuts: &[usize],
+        energies: &mut [f64],
+    ) {
+        let (w, len) = (self.window, dr.len());
+        for (row, (lanes, &sum)) in self.partials.iter_mut().zip(&self.sums).enumerate() {
+            let (tr, ti) = (&self.tw_re[row * w + start..], &self.tw_im[row * w + start..]);
+            let mut a = 0;
+            for (&b, energy) in cuts.iter().zip(energies.iter_mut()) {
+                lanes.accumulate(start + a, &dr[a..b], &di[a..b], &tr[a..b], &ti[a..b]);
+                *energy += magnitude(sum + lanes.fold());
+                a = b;
+            }
+            lanes.accumulate(start + a, &dr[a..len], &di[a..len], &tr[a..len], &ti[a..len]);
         }
-        self.seen += 1;
-        self.since_refresh += 1;
-        if self.since_refresh >= self.window {
+    }
+
+    /// Moves the ring head past `n` already-accumulated samples and,
+    /// at a ring wrap, folds the partial sums into `S` — or, every
+    /// [`REFRESH_WINDOWS`]-th wrap, re-sums `S` exactly.
+    fn advance(&mut self, n: usize) {
+        self.seen += n;
+        self.head += n;
+        if self.head < self.window {
+            return;
+        }
+        self.head = 0;
+        if (self.seen / self.window).is_multiple_of(REFRESH_WINDOWS) {
             self.refresh();
         } else {
-            for (v, r) in self.values.iter_mut().zip(&self.rotators) {
-                *v = (*v + x - oldest) * *r;
+            for (s, p) in self.sums.iter_mut().zip(&mut self.partials) {
+                *s += p.fold();
+                *p = Lanes::default();
             }
         }
     }
 
-    /// Exactly recomputes every tracked bin from the ring buffer,
-    /// clearing accumulated floating-point drift. Twiddles come from
-    /// the table built in [`SlidingDft::new`] and the ring is walked
-    /// as two contiguous runs, so the summation order — and therefore
-    /// every bit of the result — matches the original modular-index,
-    /// trig-per-term loop.
+    /// Exactly recomputes every `S_k` from the ring (slot order, same
+    /// lane split as the updates), clearing accumulated rounding.
     fn refresh(&mut self) {
-        self.since_refresh = 0;
         let w = self.window;
-        // Ring order: ring[head] is the oldest sample (index 0 of the
-        // window). Bins interleave at each `m` so the independent
-        // accumulator chains overlap in the pipeline; each bin's own
-        // `acc += x · tw[m]` sequence — and therefore every result
-        // bit — is unchanged from a bin-at-a-time walk.
-        for v in self.values.iter_mut() {
-            *v = Complex::ZERO;
-        }
-        let tw = &self.refresh_twiddles[..];
-        let mut m = 0;
-        for run in [&self.ring[self.head..], &self.ring[..self.head]] {
-            for &x in run {
-                for (bi, v) in self.values.iter_mut().enumerate() {
-                    *v += x * tw[bi * w + m];
-                }
-                m += 1;
+        for (row, (s, p)) in self.sums.iter_mut().zip(&mut self.partials).enumerate() {
+            let (tr, ti) = (&self.tw_re[row * w..][..w], &self.tw_im[row * w..][..w]);
+            let mut acc = Lanes::default();
+            for (j, x) in self.ring.iter().enumerate() {
+                acc.add(j % LANES, x.re, x.im, tr[j], ti[j]);
             }
+            *s = acc.fold();
+            *p = Lanes::default();
         }
     }
 
-    /// Advances the tracker over a whole block of (already finite)
-    /// samples, appending one Eq. (1) energy value — the bin-order
-    /// [`SlidingDft::magnitude_sum`] fold — for every primed position
-    /// on the `decimation` grid, exactly as a
-    /// [`SlidingDft::push`]-per-sample loop would.
+    /// The Eq. (1) energy of the current window: `Σ_k |S_k|`, folded
+    /// in bin order, with each bin's pending partial sums added in.
+    fn energy(&self) -> f64 {
+        let mut energy = 0.0;
+        for (s, p) in self.sums.iter().zip(&self.partials) {
+            energy += magnitude(*s + p.fold());
+        }
+        energy
+    }
+
+    /// Advances the tracker over a whole block of samples, appending
+    /// one Eq. (1) energy value — [`SlidingDft::magnitude_sum`] — for
+    /// every primed position on the `decimation` grid. A non-finite
+    /// sample enters the window as zero; returns how many did.
     ///
-    /// **Bit-identical by construction** (the chunk-equivalence suite
-    /// pins it): each step replays exactly `push`'s bin-interleaved
-    /// `((v + x) − oldest) · r` update, and the emitted sums still
-    /// fold `|F[k]|` in bin order from `0.0`; the independent per-bin
-    /// chains overlap in the pipeline, so the block walk costs roughly
-    /// one complex-multiply *throughput* (not latency) per bin per
-    /// sample. Evicted samples are snapshotted from the ring into
-    /// `scratch.c0` before the run overwrites it. Exact re-summation
-    /// still fires every `window`-th push via the unchanged
-    /// [`refresh`](Self::push) path.
+    /// Runs of up to 256 samples within one ring cycle first
+    /// stage their `x − old` deltas (updating the ring); then each bin
+    /// accumulates the run in its independent lanes and adds its
+    /// magnitude to every emission inside the run as it passes it.
+    /// The result is bitwise the same as a [`SlidingDft::push`]-per-
+    /// sample loop, at any chunking.
     ///
     /// The decimation grid is anchored at the priming sample: an
     /// output is emitted after push number `s` (counted from the
@@ -196,88 +324,53 @@ impl SlidingDft {
         chunk: &[Complex],
         decimation: usize,
         out: &mut Vec<f64>,
-        scr: &mut DspScratch,
-    ) {
+    ) -> usize {
         assert!(decimation > 0, "decimation must be positive");
+        let mut non_finite = 0;
         let w = self.window;
-        let mut consumed = 0usize;
-        while consumed < chunk.len() {
-            // Pushes until (and including) the next exact re-summation.
-            let steps_to_refresh = w - self.since_refresh;
-            let run = (chunk.len() - consumed).min(steps_to_refresh);
-            let refreshes = run == steps_to_refresh;
-            // The refresh push replaces its incremental update.
-            let inc = if refreshes { run - 1 } else { run };
-            let block = &chunk[consumed..consumed + run];
-            consumed += run;
-
-            // Snapshot the samples each push will evict (ring slot
-            // (head + t) mod w is read at step t and first written at
-            // step t, so gathering all of them up front is exact),
-            // then write the whole run into the ring.
-            reset_complex(&mut scr.c0, inc);
-            let first = (w - self.head).min(inc);
-            scr.c0[..first].copy_from_slice(&self.ring[self.head..self.head + first]);
-            scr.c0[first..].copy_from_slice(&self.ring[..inc - first]);
-            let first = (w - self.head).min(run);
-            self.ring[self.head..self.head + first].copy_from_slice(&block[..first]);
-            self.ring[..run - first].copy_from_slice(&block[first..]);
-            self.head = (self.head + run) % w;
-
-            // Emission schedule over the incremental steps: local step
-            // t corresponds to push number seen0 + t + 1.
-            let seen0 = self.seen;
-            let first_emit = {
-                let t_prime = w.saturating_sub(seen0 + 1);
-                if t_prime >= inc {
-                    usize::MAX
-                } else {
-                    let phase = (seen0 + t_prime + 1 - w) % decimation;
-                    let t = t_prime + (decimation - phase) % decimation;
-                    if t < inc {
-                        t
-                    } else {
-                        usize::MAX
-                    }
-                }
-            };
-            let out_base = out.len();
-            if first_emit != usize::MAX {
-                let emits = (inc - 1 - first_emit) / decimation + 1;
-                out.resize(out_base + emits, 0.0);
+        // Samples from here to the next emission (≥ 1).
+        let mut next = match (self.seen + 1).checked_sub(w) {
+            None => w - self.seen,
+            Some(past) => 1 + (decimation - past % decimation) % decimation,
+        };
+        let (mut dr, mut di) = ([0.0; BLOCK], [0.0; BLOCK]);
+        // Emissions strictly inside the run: their run offsets and
+        // energies.
+        let (mut cuts, mut energies) = ([0usize; BLOCK], [0.0f64; BLOCK]);
+        let mut rest = chunk;
+        while !rest.is_empty() {
+            let start = self.head;
+            let len = rest.len().min(w - start).min(BLOCK);
+            let (run, tail) = rest.split_at(len);
+            rest = tail;
+            for ((slot, &x), (r, i)) in
+                self.ring[start..start + len].iter_mut().zip(run).zip(dr.iter_mut().zip(&mut di))
+            {
+                let (x, dropped) = sanitize(x);
+                non_finite += usize::from(dropped);
+                let old = std::mem::replace(slot, x);
+                *r = x.re - old.re;
+                *i = x.im - old.im;
             }
-
-            // Bin-interleaved replay: each step applies the same
-            // `((v + x) − oldest) · r` update per bin as `push`, so the
-            // per-bin floating-point sequence is unchanged, while the
-            // independent bin chains overlap in the pipeline instead of
-            // serialising one bin's multiply-latency chain at a time.
-            let (values, rotators) = (&mut self.values[..], &self.rotators[..]);
-            let mut next = first_emit;
-            let mut slot = out_base;
-            for (t, (&x, &old)) in block[..inc].iter().zip(&scr.c0[..inc]).enumerate() {
-                for (v, &r) in values.iter_mut().zip(rotators) {
-                    *v = (*v + x - old) * r;
-                }
-                if t == next {
-                    // Bin-order fold from 0.0 — exactly `magnitude_sum`.
-                    out[slot] = values.iter().map(|v| v.abs()).sum();
-                    slot += 1;
-                    next = next.saturating_add(decimation);
-                }
+            let mut emits = 0;
+            while next < len {
+                cuts[emits] = next;
+                emits += 1;
+                next += decimation;
             }
-            self.seen += inc;
-            self.since_refresh += inc;
-
-            if refreshes {
-                self.seen += 1;
-                self.since_refresh += 1;
-                self.refresh();
-                if self.seen >= w && (self.seen - w).is_multiple_of(decimation) {
-                    out.push(self.magnitude_sum());
-                }
+            energies[..emits].fill(0.0);
+            self.accumulate(start, &dr[..len], &di[..len], &cuts[..emits], &mut energies[..emits]);
+            out.extend_from_slice(&energies[..emits]);
+            self.advance(len);
+            // An emission on the run's last sample reads the sums after
+            // a wrap has folded (or refreshed) them.
+            if next == len {
+                out.push(self.energy());
+                next += decimation;
             }
+            next -= len;
         }
+        non_finite
     }
 
     /// Returns `true` once at least one full window has been seen, so
@@ -286,15 +379,28 @@ impl SlidingDft {
         self.seen >= self.window
     }
 
-    /// Current complex value of each tracked bin.
-    pub fn values(&self) -> &[Complex] {
-        &self.values
+    /// Current complex value `F_n[k]` of each tracked bin, in the
+    /// window-aligned phase convention (window index 0 is the oldest
+    /// sample): `S_k` rotated by `e^{+2πik·seen/M}`, read from the
+    /// twiddle table.
+    pub fn values(&self) -> Vec<Complex> {
+        let w = self.window;
+        let back = (w - self.head) % w;
+        self.sums
+            .iter()
+            .zip(&self.partials)
+            .enumerate()
+            .map(|(row, (s, p))| {
+                let rot = Complex::new(self.tw_re[row * w + back], self.tw_im[row * w + back]);
+                (*s + p.fold()) * rot
+            })
+            .collect()
     }
 
     /// Sum of the magnitudes of all tracked bins — one sample of the
     /// paper's Eq. (1) energy signal `Y[n]`.
     pub fn magnitude_sum(&self) -> f64 {
-        self.values.iter().map(|v| v.abs()).sum()
+        self.energy()
     }
 }
 
@@ -332,7 +438,7 @@ pub fn energy_signal(
     decimation: usize,
 ) -> Vec<f64> {
     let mut out = Vec::with_capacity(samples.len().saturating_sub(window) / decimation + 1);
-    energy_signal_into(samples, window, bins, decimation, &mut out, &mut DspScratch::new());
+    energy_signal_into(samples, window, bins, decimation, &mut out);
     out
 }
 
@@ -352,12 +458,11 @@ pub fn energy_signal_into(
     bins: &[usize],
     decimation: usize,
     out: &mut Vec<f64>,
-    scr: &mut DspScratch,
 ) {
     assert!(decimation > 0, "decimation must be positive");
     let mut sdft = SlidingDft::new(window, bins);
     out.clear();
-    sdft.process_into(samples, decimation, out, scr);
+    sdft.process_into(samples, decimation, out);
 }
 
 /// Result of [`try_energy_signal`]: the energy samples plus how many
@@ -383,8 +488,8 @@ pub struct EnergySignal {
 ///   with zero (a dropout, exactly what a dongle glitch produces) and
 ///   counted in [`EnergySignal::sanitized`].
 ///
-/// A fully-finite capture takes the same code path as
-/// [`energy_signal`], so the hot loop costs nothing extra.
+/// The energy itself is [`energy_signal`]'s: the kernel zeroes
+/// non-finite samples as it reads them.
 ///
 /// # Errors
 ///
@@ -409,22 +514,12 @@ pub fn try_energy_signal(
     if samples.len() < window {
         return Err(CaptureError::TooShort { needed: window, got: samples.len() });
     }
-    let non_finite = samples.iter().filter(|x| !(x.re.is_finite() && x.im.is_finite())).count();
+    let non_finite = samples.iter().filter(|&&x| sanitize(x).1).count();
     if non_finite * 2 > samples.len() {
         return Err(CaptureError::NonFinite { count: non_finite, total: samples.len() });
     }
-    if non_finite == 0 {
-        return Ok(EnergySignal {
-            samples: energy_signal(samples, window, bins, decimation),
-            sanitized: 0,
-        });
-    }
-    let cleaned: Vec<Complex> = samples
-        .iter()
-        .map(|&x| if x.re.is_finite() && x.im.is_finite() { x } else { Complex::ZERO })
-        .collect();
     Ok(EnergySignal {
-        samples: energy_signal(&cleaned, window, bins, decimation),
+        samples: energy_signal(samples, window, bins, decimation),
         sanitized: non_finite,
     })
 }
@@ -444,6 +539,48 @@ mod tests {
                 * Complex::cis(-2.0 * std::f64::consts::PI * k as f64 * m as f64 / window as f64);
         }
         acc
+    }
+
+    /// The rotating recurrence the modulated kernel replaced, kept as
+    /// its oracle: `F ← (F + x − old) · e^{+2πik/M}` per bin and
+    /// sample, with every `M`-th push re-summing `F` exactly from the
+    /// ring instead. Returns the Eq. (1) energy on the
+    /// [`SlidingDft::process_into`] decimation grid, with non-finite
+    /// samples zeroed as the streaming sanitiser does.
+    fn rotating_energy(
+        samples: &[Complex],
+        window: usize,
+        bins: &[usize],
+        decimation: usize,
+    ) -> Vec<f64> {
+        let turn = |k: usize, m: usize| 2.0 * std::f64::consts::PI * (k * m) as f64 / window as f64;
+        let rotators: Vec<Complex> = bins.iter().map(|&k| Complex::cis(turn(k, 1))).collect();
+        let twiddles: Vec<Vec<Complex>> = bins
+            .iter()
+            .map(|&k| (0..window).map(|m| Complex::cis(-turn(k, m))).collect())
+            .collect();
+        let mut values = vec![Complex::ZERO; bins.len()];
+        let mut ring = vec![Complex::ZERO; window];
+        let mut out = Vec::new();
+        for (n, &x) in samples.iter().enumerate() {
+            let x = if x.re.is_finite() && x.im.is_finite() { x } else { Complex::ZERO };
+            let slot = n % window;
+            let oldest = std::mem::replace(&mut ring[slot], x);
+            if (n + 1).is_multiple_of(window) {
+                for (v, tw) in values.iter_mut().zip(&twiddles) {
+                    *v = (0..window)
+                        .fold(Complex::ZERO, |acc, m| acc + ring[(slot + 1 + m) % window] * tw[m]);
+                }
+            } else {
+                for (v, r) in values.iter_mut().zip(&rotators) {
+                    *v = (*v + x - oldest) * *r;
+                }
+            }
+            if n + 1 >= window && (n + 1 - window).is_multiple_of(decimation) {
+                out.push(values.iter().map(|v| v.abs()).sum());
+            }
+        }
+        out
     }
 
     fn chirpy_signal(n: usize) -> Vec<Complex> {
@@ -560,10 +697,9 @@ mod tests {
             // Blocked path at awkward chunk boundaries.
             for chunk in [1usize, 7, 63, 64, 65, 1000, usize::MAX] {
                 let mut sdft = SlidingDft::new(window, &bins);
-                let mut scr = DspScratch::new();
                 let mut got = Vec::new();
                 for c in samples.chunks(chunk.min(samples.len())) {
-                    sdft.process_into(c, decimation, &mut got, &mut scr);
+                    sdft.process_into(c, decimation, &mut got);
                 }
                 assert_eq!(got.len(), reference.len(), "w={window} d={decimation} c={chunk}");
                 for (i, (a, b)) in got.iter().zip(&reference).enumerate() {
@@ -645,5 +781,124 @@ mod tests {
         cleaned[100] = Complex::ZERO;
         cleaned[700] = Complex::ZERO;
         assert_eq!(got.samples, energy_signal(&cleaned, 128, &[7], 4));
+    }
+
+    /// A deterministic xorshift stream in `[-0.5, 0.5)²`.
+    fn xorshift(n: usize, mut state: u64) -> Vec<Complex> {
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let re = ((state & 0xFFFF) as f64 / 65535.0) - 0.5;
+                let im = (((state >> 16) & 0xFFFF) as f64 / 65535.0) - 0.5;
+                Complex::new(re, im)
+            })
+            .collect()
+    }
+
+    /// The shapes of the integration tests' torture corpus (same
+    /// lengths, levels and non-finite lacing), plus a loud and a faint
+    /// scaling of the keyed tone.
+    fn torture_corpus() -> Vec<(&'static str, Vec<Complex>)> {
+        let ook = |n: usize| -> Vec<Complex> {
+            let noise = xorshift(n, 7);
+            (0..n)
+                .map(|i| {
+                    let amp = if (i / 600).is_multiple_of(2) { 0.5 } else { 0.02 };
+                    Complex::new(amp, 0.0) + noise[i].scale(0.05)
+                })
+                .collect()
+        };
+        let mut nan_laced = ook(60_000);
+        for s in nan_laced.iter_mut().step_by(97) {
+            *s = Complex::new(f64::NAN, f64::INFINITY);
+        }
+        let clipped = ook(60_000)
+            .into_iter()
+            .map(|s| Complex::new(s.re.clamp(-0.03, 0.03), s.im.clamp(-0.03, 0.03)))
+            .collect();
+        let mut truncated = ook(120_000);
+        truncated.truncate(120_000 / 3 + 17);
+        vec![
+            ("dc-only", vec![Complex::new(0.3, 0.0); 50_000]),
+            ("silence", vec![Complex::ZERO; 50_000]),
+            ("pure-noise", xorshift(50_000, 42)),
+            ("nan-laced", nan_laced),
+            ("all-nan", vec![Complex::new(f64::NAN, f64::NAN); 20_000]),
+            ("hard-clipped", clipped),
+            ("truncated-mid-frame", truncated),
+            ("loud", ook(60_000).into_iter().map(|s| s.scale(1e9)).collect()),
+            ("faint", ook(60_000).into_iter().map(|s| s.scale(1e-9)).collect()),
+        ]
+    }
+
+    #[test]
+    fn kernel_matches_the_rotating_oracle_over_the_torture_corpus() {
+        // The receiver's geometry at the corpus tuning: window 256,
+        // carrier at DC and its harmonic 250 kHz up, decimation 24.
+        for (label, samples) in torture_corpus() {
+            for (window, bins, decimation) in
+                [(256usize, &[0usize, 27][..], 24usize), (64, &[0, 7, 63], 1)]
+            {
+                let kernel = energy_signal(&samples, window, bins, decimation);
+                let want = rotating_energy(&samples, window, bins, decimation);
+                assert_eq!(kernel.len(), want.len(), "{label} w={window}");
+                let peak = want.iter().fold(0.0f64, |m, v| m.max(*v));
+                let err = kernel.iter().zip(&want).fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+                if peak == 0.0 {
+                    assert_eq!(err, 0.0, "{label} w={window}: energy in silence");
+                } else {
+                    let db = 20.0 * (err / peak).log10();
+                    assert!(db <= -120.0, "{label} w={window}: {db:.1} dB");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn magnitude_survives_extreme_scales() {
+        for scale in [1.0, 1e-200, 1e200, 1e-310, 1e300] {
+            let got = magnitude(Complex::new(3.0 * scale, 4.0 * scale));
+            assert!((got - 5.0 * scale).abs() <= 1e-15 * 5.0 * scale, "scale {scale}: {got}");
+        }
+        assert_eq!(magnitude(Complex::ZERO), 0.0);
+    }
+
+    #[test]
+    fn burst_then_silence_drift_stays_bounded() {
+        // 10.5 M samples of 150 k-sample loud bursts, each followed by
+        // 200 k samples of silence (the drift a sliding DFT must not
+        // keep). Fed in 50 k-sample chunks and checked against the
+        // direct DFT at the end of every chunk.
+        let (window, bins) = (256usize, [0usize, 27, 100]);
+        let amplitude = 1e3;
+        let mut sdft = SlidingDft::new(window, &bins);
+        let mut worst = 0.0f64;
+        let mut out = Vec::new();
+        let mut exact_silences = 0;
+        let chunk = 50_000;
+        for c in 0..210 {
+            let burst = c % 7 < 3;
+            let chunk_samples: Vec<Complex> = if burst {
+                xorshift(chunk, c as u64 + 1).into_iter().map(|x| x.scale(amplitude)).collect()
+            } else {
+                vec![Complex::ZERO; chunk]
+            };
+            sdft.process_into(&chunk_samples, 24, &mut out);
+            out.clear();
+            for (got, &k) in sdft.values().iter().zip(&bins) {
+                let want = direct_bin(&chunk_samples, chunk - 1, window, k);
+                worst = worst.max((*got - want).abs());
+                // Silence past an exact refresh reads exactly zero.
+                if !burst && c % 7 > 3 {
+                    assert_eq!(got.abs(), 0.0, "chunk {c}: residue after silence");
+                    exact_silences += 1;
+                }
+            }
+        }
+        assert!(exact_silences > 0);
+        let db = 20.0 * (worst / (amplitude * window as f64)).log10();
+        assert!(db <= -240.0, "worst drift {worst:e} ({db:.1} dB of full scale)");
     }
 }

@@ -28,7 +28,6 @@ use std::io::{self, Read};
 use crate::error::CaptureError;
 use crate::iq::Complex;
 use crate::record::RtlChunkReader;
-use crate::scratch::DspScratch;
 use crate::sliding::SlidingDft;
 
 /// Incremental Eq. (1) energy signal: feeds a [`SlidingDft`] sample by
@@ -48,10 +47,6 @@ pub struct EnergyStream {
     decimation: usize,
     seen: usize,
     sanitized: usize,
-    /// Reused by the blocked DFT advance (and, when a chunk contains
-    /// non-finite samples, for the sanitized copy in `c1`); steady
-    /// state allocates nothing.
-    scratch: DspScratch,
 }
 
 impl EnergyStream {
@@ -69,33 +64,17 @@ impl EnergyStream {
             return Err(CaptureError::InvalidConfig("decimation must be positive"));
         }
         let sdft = SlidingDft::try_new(window, bins)?;
-        Ok(EnergyStream { sdft, decimation, seen: 0, sanitized: 0, scratch: DspScratch::new() })
+        Ok(EnergyStream { sdft, decimation, seen: 0, sanitized: 0 })
     }
 
     /// Feeds one chunk, appending any newly-completed energy samples
     /// to `out`. Returns how many were appended. Alloc-free apart from
-    /// `out`'s amortised growth (after a warm-up chunk at the largest
-    /// size; the common all-finite case runs straight off the caller's
-    /// slice via the blocked [`SlidingDft::process_into`]).
+    /// `out`'s amortised growth: the blocked
+    /// [`SlidingDft::process_into`] runs straight off the caller's
+    /// slice and zeroes non-finite samples as it reads them.
     pub fn push_into(&mut self, chunk: &[Complex], out: &mut Vec<f64>) -> usize {
         let before = out.len();
-        let finite = |x: &Complex| x.re.is_finite() && x.im.is_finite();
-        if chunk.iter().all(finite) {
-            self.sdft.process_into(chunk, self.decimation, out, &mut self.scratch);
-        } else {
-            let mut clean = std::mem::take(&mut self.scratch.c1);
-            clean.clear();
-            clean.extend(chunk.iter().map(|x| {
-                if finite(x) {
-                    *x
-                } else {
-                    self.sanitized += 1;
-                    Complex::ZERO
-                }
-            }));
-            self.sdft.process_into(&clean, self.decimation, out, &mut self.scratch);
-            self.scratch.c1 = clean;
-        }
+        self.sanitized += self.sdft.process_into(chunk, self.decimation, out);
         self.seen += chunk.len();
         out.len() - before
     }
@@ -272,11 +251,15 @@ impl ConvolveSameStream {
         let l = self.kernel.len();
         let lo = m.saturating_sub(l - 1);
         let hi = m.min(self.seen - 1);
-        let mut acc = 0.0;
-        for i in lo..=hi {
-            acc += self.ring[i % l] * self.kernel[m - i];
-        }
-        acc
+        // Sample i sits in ring slot i mod l, so ascending i walks the
+        // ring as at most two contiguous runs, against the taps
+        // m − lo down to m − hi.
+        let first = lo % l;
+        let count = hi + 1 - lo;
+        let wrap = count.min(l - first);
+        let samples = self.ring[first..first + wrap].iter().chain(&self.ring[..count - wrap]);
+        let taps = self.kernel[m - hi..=m - lo].iter().rev();
+        samples.zip(taps).fold(0.0, |acc, (x, k)| acc + x * k)
     }
 
     /// Feeds one chunk, appending completed outputs to `out`; returns
@@ -402,6 +385,42 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "chunk {chunk}, sample {i}");
             }
             assert!(stream.classify().is_ok());
+        }
+    }
+
+    #[test]
+    fn energy_stream_is_chunk_invariant_across_grid_segments() {
+        // Long enough to cross the 256-sample window's exact
+        // re-summation (every 64 windows); chunk sizes straddle the
+        // decimation, ring and re-summation grid points.
+        let clean = chirpy(20_011);
+        let mut laced = clean.clone();
+        for s in laced.iter_mut().skip(5).step_by(1013) {
+            *s = Complex::new(f64::NAN, f64::INFINITY);
+        }
+        laced[20_000] = Complex::new(1.0, f64::NEG_INFINITY);
+        for samples in [&clean, &laced] {
+            for window in [1usize, 3, 64, 256] {
+                let bins: Vec<usize> =
+                    [0usize, 1, 5, 37].into_iter().filter(|&k| k < window).collect();
+                for decimation in [1usize, 7, 24, 300] {
+                    let mut whole = EnergyStream::new(window, &bins, decimation).unwrap();
+                    let want = whole.push(samples);
+                    for chunk in [1usize, 7, 23, 24, 25, 255, 256, 257, 1009, 9973] {
+                        let mut stream = EnergyStream::new(window, &bins, decimation).unwrap();
+                        let mut got = Vec::new();
+                        for c in samples.chunks(chunk) {
+                            stream.push_into(c, &mut got);
+                        }
+                        let case = format!("w={window} d={decimation} chunk={chunk}");
+                        assert_eq!(stream.sanitized(), whole.sanitized(), "{case}");
+                        assert_eq!(got.len(), want.len(), "{case}");
+                        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{case}, out {i}");
+                        }
+                    }
+                }
+            }
         }
     }
 

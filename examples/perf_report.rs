@@ -33,12 +33,18 @@
 //! 7. **Alignment** — the semi-global metric alignment of one
 //!    marker-coded frame (2,339 on-air bits) against a seeded impaired
 //!    receive with lead junk: ms per call of the bit-parallel kernel.
+//! 8. **Eq. (1) front end** — `EnergyStream` (the modulated sliding
+//!    DFT) vs the rotating recurrence it replaced, on the seeded
+//!    Inspiron capture of section 5 at the Inspiron receiver's window,
+//!    bins and decimation: ns/sample for both, speedup and the
+//!    kernel's max error relative to the peak energy.
 //!
 //! `--quick` runs every section at smoke scale and asserts its
 //! invariants (grid rows bit-identical across thread counts, chunked
 //! receive == whole-capture receive, fused capture == whole-buffer
 //! capture, comb error ≤ −150 dB, the alignment covers every sent bit
-//! and scores the frame against itself error-free) without writing
+//! and scores the frame against itself error-free, Eq. (1) error
+//! ≤ −120 dB and chunked energy == one-chunk energy) without writing
 //! the JSON.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -57,8 +63,9 @@ use emsc_emfield::interference::Interferer;
 use emsc_emfield::synth::SynthConfig;
 use emsc_pmu::workload::Program;
 use emsc_runtime::{current_threads, with_threads};
-use emsc_sdr::fft::{plan_for, FftPlan};
+use emsc_sdr::fft::{frequency_bin, plan_for, FftPlan};
 use emsc_sdr::iq::Complex;
+use emsc_sdr::stream::EnergyStream;
 use emsc_sdr::{Capture, Frontend};
 use emsc_vrm::buck::Buck;
 use rand::rngs::StdRng;
@@ -133,6 +140,44 @@ fn reference_comb(
             *slot += Complex::from_polar(amp, phase0 + step * (start + k) as f64);
         }
     }
+}
+
+/// The Eq. (1) energy the rotating sliding DFT used to compute:
+/// `F ← (F + x − old) · e^{+2πik/M}` per bin and sample, re-summed
+/// exactly from the ring every `M`-th sample, with `Σ_k |F_k|` emitted
+/// on the `EnergyStream` decimation grid. The reference arm of the
+/// front-end bench.
+fn reference_energy(
+    samples: &[Complex],
+    window: usize,
+    bins: &[usize],
+    decimation: usize,
+) -> Vec<f64> {
+    let turn = |k: usize, m: usize| 2.0 * std::f64::consts::PI * (k * m) as f64 / window as f64;
+    let rotators: Vec<Complex> = bins.iter().map(|&k| Complex::cis(turn(k, 1))).collect();
+    let twiddles: Vec<Vec<Complex>> =
+        bins.iter().map(|&k| (0..window).map(|m| Complex::cis(-turn(k, m))).collect()).collect();
+    let mut values = vec![Complex::ZERO; bins.len()];
+    let mut ring = vec![Complex::ZERO; window];
+    let mut out = Vec::new();
+    for (n, &x) in samples.iter().enumerate() {
+        let slot = n % window;
+        let oldest = std::mem::replace(&mut ring[slot], x);
+        if (n + 1).is_multiple_of(window) {
+            for (v, tw) in values.iter_mut().zip(&twiddles) {
+                *v = (0..window)
+                    .fold(Complex::ZERO, |acc, m| acc + ring[(slot + 1 + m) % window] * tw[m]);
+            }
+        } else {
+            for (v, r) in values.iter_mut().zip(&rotators) {
+                *v = (*v + x - oldest) * *r;
+            }
+        }
+        if n + 1 >= window && (n + 1 - window).is_multiple_of(decimation) {
+            out.push(values.iter().map(|v| v.abs()).sum());
+        }
+    }
+    out
 }
 
 /// Calls `render(start, window)` on each zeroed [`FUSED_BLOCK`]-sample
@@ -501,6 +546,69 @@ fn main() {
         scored.deletion_probability()
     );
 
+    // 8. Eq. (1) front end: the receiver's energy stream over the
+    //    seeded Inspiron capture of section 5, at the Inspiron
+    //    receiver's geometry, fed in 16 Ki-sample chunks, vs the
+    //    rotating-recurrence reference.
+    let front_rx =
+        CovertScenario::for_laptop(&fused_laptop, Chain::new(&fused_laptop, Setup::NearField)).rx;
+    let front_cap = &fused_run.capture;
+    let front_bins: Vec<usize> = (1..=front_rx.harmonics)
+        .map(|h| front_rx.switching_freq_hz * h as f64 - front_cap.center_freq)
+        .filter(|f| f.abs() < front_cap.sample_rate / 2.0)
+        .map(|f| frequency_bin(f, front_rx.fft_size, front_cap.sample_rate))
+        .collect();
+    let (front_window, front_decimation) = (front_rx.fft_size, front_rx.decimation);
+    let front_energy = |chunk: usize| {
+        let mut stream = EnergyStream::new(front_window, &front_bins, front_decimation)
+            .expect("bench receiver geometry is valid");
+        let mut out = Vec::new();
+        for c in front_cap.samples.chunks(chunk) {
+            stream.push_into(c, &mut out);
+        }
+        out
+    };
+    let front_passes = if quick { 2 } else { 20 };
+    let (front_s, front_out) = time_best(reps, || {
+        let mut out = Vec::new();
+        for _ in 0..front_passes {
+            out = std::hint::black_box(front_energy(16 * 1024));
+        }
+        out
+    });
+    let (front_ref_s, front_ref) = time_best(reps, || {
+        let mut out = Vec::new();
+        for _ in 0..front_passes {
+            out = std::hint::black_box(reference_energy(
+                &front_cap.samples,
+                front_window,
+                &front_bins,
+                front_decimation,
+            ));
+        }
+        out
+    });
+    let front_whole = front_energy(front_cap.samples.len());
+    let front_chunked_identical = front_whole.len() == front_out.len()
+        && front_whole.iter().zip(&front_out).all(|(a, b)| a.to_bits() == b.to_bits());
+    assert_eq!(front_out.len(), front_ref.len(), "kernel and reference emit on one grid");
+    let front_peak = front_ref.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let front_max_err =
+        front_out.iter().zip(&front_ref).fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+    let front_err_db = 20.0 * (front_max_err / front_peak).log10();
+    let front_n = (front_passes * front_cap.samples.len()) as f64;
+    let front_ns = front_s * 1e9 / front_n;
+    let front_ref_ns = front_ref_s * 1e9 / front_n;
+    let front_speedup = front_ref_s / front_s;
+    println!(
+        "Eq. (1) front end (Inspiron, {} samples, window {front_window}, bins {front_bins:?}, decimation {front_decimation}):",
+        front_cap.samples.len()
+    );
+    println!("  rotating reference   {front_ref_ns:>9.2} ns/sample");
+    println!("  modulated kernel     {front_ns:>9.2} ns/sample   ({front_speedup:.2}x)");
+    println!("  max error            {front_err_db:>9.1} dB");
+    println!("  chunked bit-identical {front_chunked_identical}\n");
+
     let sessions_json = {
         let entries: Vec<String> = tenants
             .iter()
@@ -529,6 +637,17 @@ fn main() {
         concat!(
             "{{\n",
             "  \"threads\": {},\n",
+            "  \"energy_front_end\": {{\n",
+            "    \"samples\": {},\n",
+            "    \"window\": {},\n",
+            "    \"bins\": {},\n",
+            "    \"decimation\": {},\n",
+            "    \"reference_ns_per_sample\": {:.2},\n",
+            "    \"ns_per_sample\": {:.2},\n",
+            "    \"speedup\": {:.3},\n",
+            "    \"error_db\": {:.1},\n",
+            "    \"chunked_bit_identical\": {}\n",
+            "  }},\n",
             "  \"alignment\": {{\n",
             "    \"tx_bits\": {},\n",
             "    \"rx_bits\": {},\n",
@@ -579,6 +698,15 @@ fn main() {
             "}}\n"
         ),
         threads,
+        front_cap.samples.len(),
+        front_window,
+        format!("{front_bins:?}"),
+        front_decimation,
+        front_ref_ns,
+        front_ns,
+        front_speedup,
+        front_err_db,
+        front_chunked_identical,
         align_n,
         align_rx.len(),
         align_ms,
@@ -626,6 +754,11 @@ fn main() {
             0,
             "--quick: a frame aligned with itself has errors"
         );
+        assert!(
+            front_err_db <= -120.0,
+            "--quick: Eq. (1) error {front_err_db:.1} dB above -120 dB"
+        );
+        assert!(front_chunked_identical, "--quick: chunked energy != one-chunk energy");
         println!("--quick: invariants hold, BENCH_runtime.json left untouched");
     } else {
         std::fs::write("BENCH_runtime.json", &json).expect("write BENCH_runtime.json");
